@@ -10,12 +10,11 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .decoder import DecodeConfig, decode_beam
-from .errors import FormatError, TrainingError
+from .errors import FormatError, NothingToScoreError, TrainingError
 from .io import (
     Utterance,
     load_checkpoint,
@@ -56,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="seconds per step for the RTTM timeline (default 0.4)")
     p_decode.add_argument("--rttm", help="RTTM output path (default: <out>.rttm)")
     p_decode.add_argument("--workers", type=int, default=1,
-                          help="thread count for decoding utterances (default 1)")
+                          help="accepted for compatibility and ignored: utterances "
+                          "are decoded one after another (default 1)")
 
     p_eval = sub.add_parser("eval", help="score hypothesis RTTM against reference RTTM")
     p_eval.add_argument("--ref", required=True, help="reference RTTM")
@@ -132,15 +132,7 @@ def _cmd_decode(args) -> int:
     corpus = load_corpus(args.corpus)
     params = load_checkpoint(args.ckpt)
     config = DecodeConfig(beam_width=args.beam, max_speakers=args.max_speakers)
-
-    def run(utt: Utterance):
-        return decode_beam(utt.embeddings, params, config)
-
-    if args.workers == 1:
-        results = [run(u) for u in corpus]
-    else:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run, corpus))
+    results = [decode_beam(u.embeddings, params, config) for u in corpus]
 
     rttm_path = args.rttm if args.rttm is not None else args.out + ".rttm"
     timelines = []
@@ -159,22 +151,30 @@ def _cmd_decode(args) -> int:
 
 def _cmd_eval(args) -> int:
     ref = read_rttm(args.ref)
+    if not ref:
+        raise FormatError(args.ref, 0, "no reference segments")
     hyp = read_rttm(args.hyp)
     total_confusion = 0.0
     total_scored = 0.0
     for utt in sorted(ref):
         hyp_timeline = hyp.get(utt, Timeline(utt, []))
-        result = der(
-            ref[utt], hyp_timeline,
-            collar=args.collar,
-            exclude_overlap=not args.keep_overlap,
-        )
+        try:
+            result = der(
+                ref[utt], hyp_timeline,
+                collar=args.collar,
+                exclude_overlap=not args.keep_overlap,
+            )
+        except NothingToScoreError:
+            print(f"utt={utt} skip reason=no-scorable-time")
+            continue
         total_confusion += result.confusion_time
         total_scored += result.scored_time
         print(
             f"utt={utt} der={result.der:.6f} "
             f"confusion={result.confusion_time:.6f} scored={result.scored_time:.6f}"
         )
+    if total_scored == 0.0:
+        raise ValueError(f"no utterance in {args.ref} has scorable time")
     print(f"DER={total_confusion / total_scored:.6f}")
     return 0
 

@@ -1,6 +1,6 @@
 """Shared exception types."""
 
-__all__ = ["FormatError", "TrainingError"]
+__all__ = ["FormatError", "NothingToScoreError", "TrainingError"]
 
 
 class FormatError(ValueError):
@@ -15,6 +15,10 @@ class FormatError(ValueError):
         self.line = int(line)
         self.reason = message
         super().__init__(f"{self.path}:{self.line}: {message}")
+
+
+class NothingToScoreError(ValueError):
+    """Collar and overlap removal left an utterance no scorable time."""
 
 
 class TrainingError(RuntimeError):

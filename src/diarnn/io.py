@@ -27,7 +27,7 @@ from .net import (
     gaussian_log_pdf,
     thread_emission_mean,
 )
-from .prior import PriorParams, change_log_prob
+from .prior import PriorParams, assignment_candidates, change_log_prob
 from .sequences import (
     BlockCounts,
     EmbeddingSequence,
@@ -198,29 +198,24 @@ def sample_utterance(params: ModelParams, length: int, rng, with_log_prob: bool 
         if t == 0:
             speaker = 1
             lp = 0.0
+        elif gen.random() >= 1.0 - p0:
+            speaker = blocks.last_speaker
+            lp = change_log_prob(0, p0)
         else:
-            change = 1 if gen.random() < 1.0 - p0 else 0
-            lp = change_log_prob(change, p0)
-            if change == 0:
-                speaker = blocks.last_speaker
-            else:
-                last = blocks.last_speaker
-                others = [s for s in range(1, blocks.num_speakers + 1) if s != last]
-                masses = [float(blocks.count(s)) for s in others] + [alpha]
-                denom = (blocks.total_blocks - blocks.count(last)) + alpha
-                draw = gen.random() * denom
-                acc = 0.0
-                pick = len(masses) - 1
-                for i, mass in enumerate(masses):
-                    acc += mass
-                    if draw < acc:
-                        pick = i
-                        break
-                if pick < len(others):
-                    speaker = others[pick]
-                else:
-                    speaker = blocks.num_speakers + 1
-                lp += math.log(masses[pick]) - math.log(denom)
+            # A change: walk the switch options by their probability given
+            # the change.  The last option, a new speaker, also takes the
+            # draws that rounding leaves past the running sum.
+            switch = change_log_prob(1, p0)
+            options = assignment_candidates(blocks, alpha, p0)[1:]
+            draw = gen.random()
+            pick = options[-1]
+            acc = 0.0
+            for option in options[:-1]:
+                acc += math.exp(option.log_prior - switch)
+                if draw < acc:
+                    pick = option
+                    break
+            speaker, lp = pick.speaker, pick.log_prior
         thread = threads[speaker - 1] if speaker <= len(threads) else fresh
         mu = thread_emission_mean(thread)
         x[t] = mu + sigma * gen.standard_normal(dim)

@@ -21,7 +21,7 @@ from typing import Iterable
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import FormatError
+from .errors import FormatError, NothingToScoreError
 
 __all__ = [
     "Segment",
@@ -243,7 +243,8 @@ def der(
     scored reference speech attributed to the wrong mapped speaker.  Time
     under hypothesis speakers that map to no reference speaker counts as
     confusion; time with no hypothesis speaker at all counts as missed and
-    is excluded from the headline number."""
+    is excluded from the headline number.  Raises NothingToScoreError when
+    the reference leaves no scorable time."""
     if ref.utt != hyp.utt:
         raise ValueError(f"utterance ids differ: {ref.utt!r} vs {hyp.utt!r}")
     regions = scored_regions(ref, collar, exclude_overlap)
@@ -270,7 +271,9 @@ def der(
             missed += dur * max(0, r - h)
             false_alarm += dur * max(0, h - r)
     if scored <= 0.0:
-        raise ValueError("nothing to score: collar and overlap removal left no region")
+        raise NothingToScoreError(
+            "nothing to score: collar and overlap removal left no region"
+        )
     return DerResult(
         der=confusion / scored,
         confusion_time=confusion,

@@ -53,11 +53,9 @@ class ModelParams:
         return self.prior.p0
 
     def copy(self) -> "ModelParams":
-        net = NetParams(
-            **{name: arr.copy() for name, arr in self.net.tensor_dict().items()},
-            relu_output=self.net.relu_output,
+        return ModelParams(
+            self.net.copy(), EmissionParams(self.emission.log_sigma2), self.prior
         )
-        return ModelParams(net, EmissionParams(self.emission.log_sigma2), self.prior)
 
 
 def init_model_params(

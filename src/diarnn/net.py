@@ -22,6 +22,12 @@ default; ``relu_output`` rectifies it as well, which confines emission
 means to the nonnegative orthant and is only useful when the embeddings
 live there too.
 
+Parameters live in one float64 vector, ``NetParams.flat``: the 13 tensors
+of TENSOR_FIELDS, each flattened row-major, laid end to end in that order.
+Each named tensor is a reshaped view into it, so a write through either
+is seen by the other.  A gradient has the same type and layout, which
+makes accumulation, clipping and the update one vector operation each.
+
 All computation is float64.
 """
 
@@ -36,7 +42,6 @@ __all__ = [
     "GATE_CONVENTION",
     "TENSOR_FIELDS",
     "NetParams",
-    "NetGrads",
     "EmissionParams",
     "SpeakerThread",
     "GradientResult",
@@ -57,64 +62,92 @@ GATE_CONVENTION = (
     "head=W2@relu(W1@h_next+b1)+b2"
 )
 
-TENSOR_FIELDS = (
-    "w_update", "u_update", "b_update",
-    "w_reset", "u_reset", "b_reset",
-    "w_cand", "u_cand", "b_cand",
-    "w_fc1", "b_fc1", "w_fc2", "b_fc2",
-)
+
+def _layout(dim: int, hidden: int, fc: int):
+    """(name, shape, initialization fan-in) of every tensor, in flat order.
+
+    Cell input weights take their fan-in from the input; recurrent weights
+    and cell biases from the hidden width; head tensors from their own
+    layer's input.
+    """
+    return (
+        ("w_update", (hidden, dim), dim),
+        ("u_update", (hidden, hidden), hidden),
+        ("b_update", (hidden,), hidden),
+        ("w_reset", (hidden, dim), dim),
+        ("u_reset", (hidden, hidden), hidden),
+        ("b_reset", (hidden,), hidden),
+        ("w_cand", (hidden, dim), dim),
+        ("u_cand", (hidden, hidden), hidden),
+        ("b_cand", (hidden,), hidden),
+        ("w_fc1", (fc, hidden), hidden),
+        ("b_fc1", (fc,), hidden),
+        ("w_fc2", (dim, fc), fc),
+        ("b_fc2", (dim,), fc),
+    )
+
+
+TENSOR_FIELDS = tuple(name for name, _, _ in _layout(1, 1, 1))
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
-@dataclass
 class NetParams:
-    """Weights of the shared cell and head.
+    """Weights of the shared cell and head, held in one flat vector.
 
     Shapes for input dim d, hidden dim H, head width F:
     w_* (H, d), u_* (H, H), b_* (H,) for the three gates;
     w_fc1 (F, H), b_fc1 (F,), w_fc2 (d, F), b_fc2 (d,).
 
-    Mutable on purpose: training updates the arrays in place between
-    batches.  Nothing mutates them during a forward or backward pass.
+    Built from the 13 named tensors, which are checked for shape and
+    finiteness and copied into ``flat``.  Mutable on purpose: training
+    updates ``flat`` in place between batches.  Write into a tensor
+    (``net.w_cand[...] = ...``) rather than rebinding the attribute,
+    which would detach it from ``flat``.  Nothing mutates either during a
+    forward or backward pass.
     """
 
-    w_update: np.ndarray
-    u_update: np.ndarray
-    b_update: np.ndarray
-    w_reset: np.ndarray
-    u_reset: np.ndarray
-    b_reset: np.ndarray
-    w_cand: np.ndarray
-    u_cand: np.ndarray
-    b_cand: np.ndarray
-    w_fc1: np.ndarray
-    b_fc1: np.ndarray
-    w_fc2: np.ndarray
-    b_fc2: np.ndarray
-    relu_output: bool = False
-
-    def __post_init__(self):
-        for name in TENSOR_FIELDS:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if self.w_update.ndim != 2 or self.w_fc1.ndim != 2:
+    def __init__(self, *, relu_output: bool = False, **tensors):
+        if set(tensors) != set(TENSOR_FIELDS):
+            raise TypeError(
+                f"NetParams takes exactly the tensors {', '.join(TENSOR_FIELDS)}"
+            )
+        arrays = {name: np.asarray(tensors[name], dtype=np.float64) for name in TENSOR_FIELDS}
+        if arrays["w_update"].ndim != 2 or arrays["w_fc1"].ndim != 2:
             raise ValueError("w_update and w_fc1 must be matrices")
-        hidden, dim = self.w_update.shape
-        fc = self.w_fc1.shape[0]
-        expected = {
-            "w_update": (hidden, dim), "u_update": (hidden, hidden), "b_update": (hidden,),
-            "w_reset": (hidden, dim), "u_reset": (hidden, hidden), "b_reset": (hidden,),
-            "w_cand": (hidden, dim), "u_cand": (hidden, hidden), "b_cand": (hidden,),
-            "w_fc1": (fc, hidden), "b_fc1": (fc,),
-            "w_fc2": (dim, fc), "b_fc2": (dim,),
-        }
-        for name, shape in expected.items():
-            actual = getattr(self, name).shape
+        hidden, dim = arrays["w_update"].shape
+        fc = arrays["w_fc1"].shape[0]
+        for name, shape, _ in _layout(dim, hidden, fc):
+            actual = arrays[name].shape
             if actual != shape:
                 raise ValueError(f"{name} has shape {actual}, expected {shape}")
         for name in TENSOR_FIELDS:
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.all(np.isfinite(arrays[name])):
                 raise ValueError(f"{name} contains non-finite values")
+        flat = np.concatenate([arrays[name].ravel() for name in TENSOR_FIELDS])
+        self._bind(flat, (dim, hidden, fc), relu_output)
+
+    def _bind(self, flat: np.ndarray, dims: tuple[int, int, int], relu_output: bool) -> None:
+        self.flat = flat
+        self.relu_output = relu_output
+        offset = 0
+        for name, shape, _ in _layout(*dims):
+            size = math.prod(shape)
+            setattr(self, name, flat[offset : offset + size].reshape(shape))
+            offset += size
+
+    def _like(self, flat: np.ndarray) -> "NetParams":
+        """Same shapes and head, over another flat vector; unvalidated."""
+        other = NetParams.__new__(NetParams)
+        other._bind(flat, (self.input_dim, self.hidden_dim, self.fc_dim), self.relu_output)
+        return other
+
+    def copy(self) -> "NetParams":
+        return self._like(self.flat.copy())
+
+    def zeros_like(self) -> "NetParams":
+        """All-zero tensors of the same shapes, the shape of a gradient."""
+        return self._like(np.zeros_like(self.flat))
 
     @property
     def input_dim(self) -> int:
@@ -129,49 +162,8 @@ class NetParams:
         return self.w_fc1.shape[0]
 
     def tensor_dict(self) -> dict[str, np.ndarray]:
+        """The named tensors, as live views into ``flat``."""
         return {name: getattr(self, name) for name in TENSOR_FIELDS}
-
-
-@dataclass
-class NetGrads:
-    """Per-tensor gradients, shaped exactly like the NetParams tensors."""
-
-    w_update: np.ndarray
-    u_update: np.ndarray
-    b_update: np.ndarray
-    w_reset: np.ndarray
-    u_reset: np.ndarray
-    b_reset: np.ndarray
-    w_cand: np.ndarray
-    u_cand: np.ndarray
-    b_cand: np.ndarray
-    w_fc1: np.ndarray
-    b_fc1: np.ndarray
-    w_fc2: np.ndarray
-    b_fc2: np.ndarray
-
-    @classmethod
-    def zeros(cls, params: NetParams) -> "NetGrads":
-        return cls(**{
-            name: np.zeros_like(arr) for name, arr in params.tensor_dict().items()
-        })
-
-    def tensor_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in TENSOR_FIELDS}
-
-    def add_(self, other: "NetGrads") -> None:
-        for name in TENSOR_FIELDS:
-            getattr(self, name).__iadd__(getattr(other, name))
-
-    def scale_(self, factor: float) -> None:
-        for name in TENSOR_FIELDS:
-            getattr(self, name).__imul__(factor)
-
-    def sq_norm(self) -> float:
-        return float(sum((getattr(self, name) ** 2).sum() for name in TENSOR_FIELDS))
-
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(getattr(self, name))) for name in TENSOR_FIELDS)
 
 
 @dataclass
@@ -190,30 +182,43 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-v))
 
 
+def _cell(x: np.ndarray, h: np.ndarray, net: NetParams):
+    """The GRU update, with the gate values the reverse sweep reuses:
+    (u, r, r * h, c, h_next)."""
+    u = _sigmoid(net.w_update @ x + net.u_update @ h + net.b_update)
+    r = _sigmoid(net.w_reset @ x + net.u_reset @ h + net.b_reset)
+    rh = r * h
+    c = np.tanh(net.w_cand @ x + net.u_cand @ rh + net.b_cand)
+    return u, r, rh, c, (1.0 - u) * h + u * c
+
+
+def _head(h: np.ndarray, net: NetParams):
+    """The head, with its hidden layer: (a1, m)."""
+    a1 = np.maximum(net.w_fc1 @ h + net.b_fc1, 0.0)
+    m = net.w_fc2 @ a1 + net.b_fc2
+    if net.relu_output:
+        m = np.maximum(m, 0.0)
+    return a1, m
+
+
+def _check_state(h: np.ndarray, params: NetParams) -> np.ndarray:
+    h = np.asarray(h, dtype=np.float64)
+    if h.shape != (params.hidden_dim,):
+        raise ValueError(f"state has shape {h.shape}, expected ({params.hidden_dim},)")
+    return h
+
+
 def gru_forward(x: np.ndarray, h: np.ndarray, params: NetParams) -> np.ndarray:
     """One cell update for a single speaker thread."""
     x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({params.input_dim},)")
-    if h.shape != (params.hidden_dim,):
-        raise ValueError(f"state has shape {h.shape}, expected ({params.hidden_dim},)")
-    u = _sigmoid(params.w_update @ x + params.u_update @ h + params.b_update)
-    r = _sigmoid(params.w_reset @ x + params.u_reset @ h + params.b_reset)
-    c = np.tanh(params.w_cand @ x + params.u_cand @ (r * h) + params.b_cand)
-    return (1.0 - u) * h + u * c
+    return _cell(x, _check_state(h, params), params)[-1]
 
 
 def output_forward(h: np.ndarray, params: NetParams) -> np.ndarray:
     """Head mapping a hidden state to a point in embedding space."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape != (params.hidden_dim,):
-        raise ValueError(f"state has shape {h.shape}, expected ({params.hidden_dim},)")
-    a1 = np.maximum(params.w_fc1 @ h + params.b_fc1, 0.0)
-    m = params.w_fc2 @ a1 + params.b_fc2
-    if params.relu_output:
-        m = np.maximum(m, 0.0)
-    return m
+    return _head(_check_state(h, params), params)[1]
 
 
 def gaussian_log_pdf(x: np.ndarray, mu: np.ndarray, sigma2: float) -> float:
@@ -287,12 +292,11 @@ def _as_matrix(X) -> np.ndarray:
     return arr
 
 
-def forward_log_likelihood(X, labels, net: NetParams, em: EmissionParams):
-    """Teacher-forced log-likelihood of an utterance under fixed labels.
+def _teacher_forced(X, labels, net: NetParams, em: EmissionParams):
+    """Teacher-forced pass over an utterance under fixed labels.
 
-    Returns the total log-density plus the (T, d) record of per-step
-    emission means.  ``labels`` may be any positive-integer sequence, not
-    necessarily canonical: only the grouping pattern matters.
+    Returns the total log-density, the (T, d) record of per-step emission
+    means, and per step the intermediates the reverse sweep needs.
     """
     x = _as_matrix(X)
     labs = [int(v) for v in labels]
@@ -305,26 +309,49 @@ def forward_log_likelihood(X, labels, net: NetParams, em: EmissionParams):
     if x.shape[1] != net.input_dim:
         raise ValueError(f"embedding dim {x.shape[1]} != net input dim {net.input_dim}")
     sigma2 = em.sigma2
-    threads: dict[int, SpeakerThread] = {}
-    fresh = fresh_thread(net)
+    log_norm = -0.5 * x.shape[1] * (LOG_TWO_PI + math.log(sigma2))
+    zeros_x = np.zeros(net.input_dim)
+    # Per speaker: its cell input and state for its next step, the sum of
+    # its head outputs so far, and its step count.
+    first = (zeros_x, np.zeros(net.hidden_dim), zeros_x, 0)
+    threads = {}
     mus = np.empty_like(x)
+    cache = []
     total = 0.0
     for t in range(x.shape[0]):
         speaker = labs[t]
-        thread = threads.get(speaker, fresh)
-        mu = thread_emission_mean(thread)
-        mus[t] = mu
-        total += gaussian_log_pdf(x[t], mu, sigma2)
-        threads[speaker] = advance_thread(thread, x[t], net)
+        x_in, h_in, mean_sum, count = threads.get(speaker, first)
+        u, r, rh, c, h = _cell(x_in, h_in, net)
+        a1, m = _head(h, net)
+        mean_sum = mean_sum + m
+        count += 1
+        mu = mus[t] = mean_sum / count
+        resid = x[t] - mu
+        sq = float(resid @ resid)
+        total += log_norm - sq / (2.0 * sigma2)
+        cache.append((speaker, x_in, h_in, u, r, rh, c, h, a1, m, resid, count, sq))
+        threads[speaker] = (x[t], h, mean_sum, count)
+    return total, mus, cache
+
+
+def forward_log_likelihood(X, labels, net: NetParams, em: EmissionParams):
+    """Teacher-forced log-likelihood of an utterance under fixed labels.
+
+    Returns the total log-density plus the (T, d) record of per-step
+    emission means.  ``labels`` may be any positive-integer sequence, not
+    necessarily canonical: only the grouping pattern matters.
+    """
+    total, mus, _ = _teacher_forced(X, labels, net, em)
     return total, mus
 
 
 @dataclass
 class GradientResult:
     """Gradients of the emission log-likelihood for one utterance, plus the
-    likelihood value itself (the forward pass comes for free)."""
+    likelihood value itself (the forward pass comes for free).  ``net``
+    holds the weight gradients in the parameters' own layout."""
 
-    net: NetGrads
+    net: NetParams
     log_sigma2: float
     log_likelihood: float
 
@@ -338,68 +365,25 @@ def backward_gradients(X, labels, net: NetParams, em: EmissionParams) -> Gradien
     through which a head output at step s feeds the emission mean of every
     later step of the same speaker with weight 1/count at that step.
     """
-    x = _as_matrix(X)
-    labs = [int(v) for v in labels]
-    if len(labs) != x.shape[0]:
-        raise ValueError(
-            f"length mismatch: {x.shape[0]} embeddings vs {len(labs)} labels"
-        )
-    if any(v < 1 for v in labs):
-        raise ValueError("labels must be positive integers")
-    if x.shape[1] != net.input_dim:
-        raise ValueError(f"embedding dim {x.shape[1]} != net input dim {net.input_dim}")
-
-    steps, dim = x.shape
+    total, _, cache = _teacher_forced(X, labels, net, em)
     sigma2 = em.sigma2
-    zeros_x = np.zeros(dim)
-    zeros_h = np.zeros(net.hidden_dim)
+    dim = net.input_dim
+    g_log_sigma2 = sum(sq / (2.0 * sigma2) - 0.5 * dim for *_, sq in cache)
 
-    # Forward pass, caching every intermediate the reverse sweep needs.
-    prev: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    counts: dict[int, int] = {}
-    mean_sums: dict[int, np.ndarray] = {}
-    cache = []
-    total = 0.0
-    g_log_sigma2 = 0.0
-    for t in range(steps):
-        speaker = labs[t]
-        x_in, h_in = prev.get(speaker, (zeros_x, zeros_h))
-        u = _sigmoid(net.w_update @ x_in + net.u_update @ h_in + net.b_update)
-        r = _sigmoid(net.w_reset @ x_in + net.u_reset @ h_in + net.b_reset)
-        rh = r * h_in
-        c = np.tanh(net.w_cand @ x_in + net.u_cand @ rh + net.b_cand)
-        h = (1.0 - u) * h_in + u * c
-        a1 = np.maximum(net.w_fc1 @ h + net.b_fc1, 0.0)
-        m = net.w_fc2 @ a1 + net.b_fc2
-        if net.relu_output:
-            m = np.maximum(m, 0.0)
-        count = counts.get(speaker, 0) + 1
-        counts[speaker] = count
-        running = mean_sums.get(speaker)
-        running = m.copy() if running is None else running + m
-        mean_sums[speaker] = running
-        mu = running / count
-        resid = x[t] - mu
-        sq = float(resid @ resid)
-        total += -0.5 * dim * (LOG_TWO_PI + math.log(sigma2)) - sq / (2.0 * sigma2)
-        g_log_sigma2 += sq / (2.0 * sigma2) - 0.5 * dim
-        cache.append((speaker, x_in, h_in, u, r, rh, c, h, a1, m, resid, count))
-        prev[speaker] = (x[t], h)
-
-    grads = NetGrads.zeros(net)
+    grads = net.zeros_like()
     dmean: dict[int, np.ndarray] = {}  # sum over later same-speaker steps of dmu/count
     dh_carry: dict[int, np.ndarray] = {}
-    for speaker, x_in, h_in, u, r, rh, c, h, a1, m, resid, count in reversed(cache):
+    for speaker, x_in, h_in, u, r, rh, c, h, a1, m, resid, count, _ in reversed(cache):
         acc = dmean.get(speaker)
         dmu = resid / sigma2
         acc = dmu / count if acc is None else acc + dmu / count
         dmean[speaker] = acc
         dm = acc * (m > 0.0) if net.relu_output else acc
         # head
-        grads.w_fc2 += np.outer(dm, a1)
+        grads.w_fc2 += dm[:, None] * a1
         grads.b_fc2 += dm
         da1 = (net.w_fc2.T @ dm) * (a1 > 0.0)
-        grads.w_fc1 += np.outer(da1, h)
+        grads.w_fc1 += da1[:, None] * h
         grads.b_fc1 += da1
         dh = net.w_fc1.T @ da1
         carry = dh_carry.pop(speaker, None)
@@ -410,19 +394,19 @@ def backward_gradients(X, labels, net: NetParams, em: EmissionParams) -> Gradien
         dc = dh * u
         dh_in = dh * (1.0 - u)
         dac = dc * (1.0 - c * c)
-        grads.w_cand += np.outer(dac, x_in)
-        grads.u_cand += np.outer(dac, rh)
+        grads.w_cand += dac[:, None] * x_in
+        grads.u_cand += dac[:, None] * rh
         grads.b_cand += dac
         drh = net.u_cand.T @ dac
         dr = drh * h_in
         dh_in = dh_in + drh * r
         dau = du * u * (1.0 - u)
         dar = dr * r * (1.0 - r)
-        grads.w_update += np.outer(dau, x_in)
-        grads.u_update += np.outer(dau, h_in)
+        grads.w_update += dau[:, None] * x_in
+        grads.u_update += dau[:, None] * h_in
         grads.b_update += dau
-        grads.w_reset += np.outer(dar, x_in)
-        grads.u_reset += np.outer(dar, h_in)
+        grads.w_reset += dar[:, None] * x_in
+        grads.u_reset += dar[:, None] * h_in
         grads.b_reset += dar
         dh_carry[speaker] = dh_in + net.u_update.T @ dau + net.u_reset.T @ dar
     return GradientResult(grads, g_log_sigma2, total)
@@ -435,29 +419,17 @@ def init_net_params(
     rng: np.random.Generator,
     relu_output: bool = False,
 ) -> NetParams:
-    """Seeded uniform initialization, bound 1/sqrt(fan_in) per tensor.
-
-    Cell input weights use fan_in = input_dim; recurrent weights and cell
-    biases use the hidden width; head tensors use their own layer fan-in.
-    """
+    """Seeded uniform initialization, bound 1/sqrt(fan_in) per tensor, with
+    the fan-ins of the layout table, drawn in its order."""
 
     def uniform(shape, fan_in):
         bound = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-bound, bound, size=shape)
 
     return NetParams(
-        w_update=uniform((hidden_dim, input_dim), input_dim),
-        u_update=uniform((hidden_dim, hidden_dim), hidden_dim),
-        b_update=uniform((hidden_dim,), hidden_dim),
-        w_reset=uniform((hidden_dim, input_dim), input_dim),
-        u_reset=uniform((hidden_dim, hidden_dim), hidden_dim),
-        b_reset=uniform((hidden_dim,), hidden_dim),
-        w_cand=uniform((hidden_dim, input_dim), input_dim),
-        u_cand=uniform((hidden_dim, hidden_dim), hidden_dim),
-        b_cand=uniform((hidden_dim,), hidden_dim),
-        w_fc1=uniform((fc_dim, hidden_dim), hidden_dim),
-        b_fc1=uniform((fc_dim,), hidden_dim),
-        w_fc2=uniform((input_dim, fc_dim), fc_dim),
-        b_fc2=uniform((input_dim,), fc_dim),
+        **{
+            name: uniform(shape, fan_in)
+            for name, shape, fan_in in _layout(input_dim, hidden_dim, fc_dim)
+        },
         relu_output=relu_output,
     )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TrainingError
 from .model import ModelParams, init_model_params
-from .net import NetGrads, backward_gradients
+from .net import NetParams, backward_gradients
 from .prior import (
     PriorParams,
     change_log_prob,
@@ -128,7 +128,7 @@ def minibatch_step(
     if not batch:
         raise ValueError("empty minibatch")
     ids = [str(i) for i in range(len(batch))] if batch_ids is None else list(batch_ids)
-    net_grads: NetGrads | None = None
+    net_grads: NetParams | None = None
     g_log_sigma2 = 0.0
     g_alpha = 0.0
     objective = 0.0
@@ -137,7 +137,7 @@ def minibatch_step(
         z = derive_change_indicators(Y)
         ga = grad_alpha(Y, z, params.prior.alpha)
         if (
-            not result.net.all_finite()
+            not np.isfinite(result.net.flat).all()
             or not math.isfinite(result.log_sigma2)
             or not math.isfinite(ga)
         ):
@@ -145,7 +145,7 @@ def minibatch_step(
         if net_grads is None:
             net_grads = result.net
         else:
-            net_grads.add_(result.net)
+            net_grads.flat += result.net.flat
         g_log_sigma2 += result.log_sigma2
         g_alpha += ga
         objective += result.log_likelihood
@@ -153,15 +153,17 @@ def minibatch_step(
         objective += sum(change_log_prob(zi, params.prior.p0) for zi in z)
     g_log_alpha = params.prior.alpha * g_alpha
     if config.grad_clip_norm is not None:
-        norm = math.sqrt(net_grads.sq_norm() + g_log_sigma2**2 + g_log_alpha**2)
+        # Summed tensor by tensor: one dot product over the flat vector
+        # would reorder the sum and move the last bits of every checkpoint.
+        net_sq = sum((g**2).sum() for g in net_grads.tensor_dict().values())
+        norm = math.sqrt(net_sq + g_log_sigma2**2 + g_log_alpha**2)
         if norm > config.grad_clip_norm:
             factor = config.grad_clip_norm / norm
-            net_grads.scale_(factor)
+            net_grads.flat *= factor
             g_log_sigma2 *= factor
             g_log_alpha *= factor
     step = scale * config.step_size
-    for name, grad in net_grads.tensor_dict().items():
-        getattr(params.net, name).__iadd__(step * grad)
+    params.net.flat += step * net_grads.flat
     params.emission.log_sigma2 += step * g_log_sigma2
     new_log_alpha = math.log(params.prior.alpha) + step * g_log_alpha
     # Catch a runaway before exp() can overflow into a raw crash; 700 is

@@ -192,6 +192,42 @@ def test_eval_tolerates_missing_hypothesis_utterance(tmp_path, capsys):
     assert "utt=m" in out
 
 
+def test_eval_empty_reference_is_an_error(tmp_path, capsys):
+    ref = tmp_path / "ref.rttm"
+    hyp = tmp_path / "hyp.rttm"
+    ref.write_text("")
+    write_rttm([labels_to_timeline(LabelSequence((1, 1)), 1.0, utt="m")], hyp)
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {ref}:0: ")
+    assert "DER=" not in captured.out
+
+
+def test_eval_skips_utterance_without_scorable_time(tmp_path, capsys):
+    ref = tmp_path / "ref.rttm"
+    hyp = tmp_path / "hyp.rttm"
+    # At a 0.25 s collar the 0.4 s utterance keeps no scorable time.
+    timelines = [
+        labels_to_timeline(LabelSequence((1,)), 0.4, utt="short"),
+        labels_to_timeline(LabelSequence((1, 1, 2, 2)), 1.0, utt="wide"),
+    ]
+    write_rttm(timelines, ref)
+    write_rttm(timelines, hyp)
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--collar", "0.25"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == [
+        "utt=short skip reason=no-scorable-time",
+        "utt=wide der=0.000000 confusion=0.000000 scored=3.000000",
+        "DER=0.000000",
+    ]
+
+    write_rttm(timelines[:1], ref)
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--collar", "0.25"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.strip() == "utt=short skip reason=no-scorable-time"
+    assert captured.err.startswith("error: ")
+
+
 # ------------------------------------------------------------------- pipeline
 
 def test_sample_train_decode_eval_round_trip(tmp_path, capsys):

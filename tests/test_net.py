@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from diarnn.io import load_checkpoint, save_checkpoint
+from diarnn.model import ModelParams
 from diarnn.net import (
     EmissionParams,
-    NetGrads,
     NetParams,
     TENSOR_FIELDS,
     advance_thread,
@@ -18,6 +19,7 @@ from diarnn.net import (
     output_forward,
     thread_emission_mean,
 )
+from diarnn.prior import PriorParams
 from diarnn.sequences import EmbeddingSequence, LabelSequence
 
 from helpers import (
@@ -165,16 +167,46 @@ def test_init_net_params_deterministic_and_bounded():
 
 def test_net_grads_arithmetic():
     net = zero_net_params(2, hidden_dim=2, fc_dim=2)
-    g = NetGrads.zeros(net)
-    h = NetGrads.zeros(net)
+    g = net.zeros_like()
+    h = net.zeros_like()
     h.b_update[:] = [1.0, 2.0]
-    g.add_(h)
-    g.scale_(0.5)
+    g.flat += h.flat
+    g.flat *= 0.5
     np.testing.assert_allclose(g.b_update, [0.5, 1.0])
-    assert g.sq_norm() == pytest.approx(1.25)
-    assert g.all_finite()
+    assert float(g.flat @ g.flat) == pytest.approx(1.25)
+    assert np.isfinite(g.flat).all()
     g.b_cand[0] = np.inf
-    assert not g.all_finite()
+    assert not np.isfinite(g.flat).all()
+
+
+def test_net_params_tensors_are_views_into_flat(tmp_path):
+    net = init_net_params(2, 3, 4, np.random.default_rng(5))
+    np.testing.assert_array_equal(
+        net.flat, np.concatenate([getattr(net, name).ravel() for name in TENSOR_FIELDS])
+    )
+    # writes through tensor_dict() and through an attribute both reach flat
+    before_w_cand = sum(
+        getattr(net, name).size for name in TENSOR_FIELDS[: TENSOR_FIELDS.index("w_cand")]
+    )
+    net.tensor_dict()["w_cand"][1, 0] = 7.0
+    assert net.flat[before_w_cand + 1 * net.input_dim] == 7.0
+    net.b_fc2[-1] = -3.0
+    assert net.flat[-1] == -3.0
+
+    for other in (net.copy(), net.zeros_like()):
+        assert not np.shares_memory(other.flat, net.flat)
+        for name in TENSOR_FIELDS:
+            assert not np.shares_memory(getattr(other, name), net.flat)
+            assert np.shares_memory(getattr(other, name), other.flat)
+    np.testing.assert_array_equal(net.copy().flat, net.flat)
+    np.testing.assert_array_equal(net.zeros_like().flat, 0.0)
+
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, ModelParams(net, UNIT, PriorParams(p0=0.5, alpha=1.0)))
+    loaded = load_checkpoint(path).net
+    rebuilt = NetParams(**loaded.tensor_dict(), relu_output=loaded.relu_output)
+    for back in (loaded, rebuilt):
+        assert back.flat.tobytes() == net.flat.tobytes()
 
 
 # ------------------------------------------------------------------ likelihood
