@@ -74,9 +74,6 @@ class Timeline:
     def speakers(self) -> list[str]:
         return sorted({seg.speaker for seg in self.segments})
 
-    def total_speech(self) -> float:
-        return _total(_merge((seg.start, seg.end) for seg in self.segments))
-
 
 def labels_to_timeline(labels, segment_duration: float, utt: str = "utt") -> Timeline:
     """Lay per-segment labels onto a fixed-duration grid, merging adjacent

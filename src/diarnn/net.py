@@ -28,11 +28,21 @@ Each named tensor is a reshaped view into it, so a write through either
 is seen by the other.  A gradient has the same type and layout, which
 makes accumulation, clipping and the update one vector operation each.
 
+Online use (decoding, sampling) advances one thread at a time through
+``advance_thread``.  Teacher-forced scoring and its gradients, where the
+labels are fixed, run speaker-major instead: the steps are grouped into
+speaker threads sorted longest first, so the threads still running at
+thread step j are a prefix of that order, and the pass advances all of
+them together as one (n_j, H) block per thread step.  Threads never
+interact, so a whole minibatch is one such pass.  The packed pass sums in
+another order than the step-by-step one and agrees with it to rounding.
+
 All computation is float64.
 """
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,20 +192,11 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-v))
 
 
-def _cell(x: np.ndarray, h: np.ndarray, net: NetParams):
-    """The GRU update, with the gate values the reverse sweep reuses:
-    (u, r, r * h, c, h_next)."""
-    u = _sigmoid(net.w_update @ x + net.u_update @ h + net.b_update)
-    r = _sigmoid(net.w_reset @ x + net.u_reset @ h + net.b_reset)
-    rh = r * h
-    c = np.tanh(net.w_cand @ x + net.u_cand @ rh + net.b_cand)
-    return u, r, rh, c, (1.0 - u) * h + u * c
-
-
 def _head(h: np.ndarray, net: NetParams):
-    """The head, with its hidden layer: (a1, m)."""
-    a1 = np.maximum(net.w_fc1 @ h + net.b_fc1, 0.0)
-    m = net.w_fc2 @ a1 + net.b_fc2
+    """The head, with its hidden layer: (a1, m).  ``h`` is one state or a
+    stack of states, one per row."""
+    a1 = np.maximum(h @ net.w_fc1.T + net.b_fc1, 0.0)
+    m = a1 @ net.w_fc2.T + net.b_fc2
     if net.relu_output:
         m = np.maximum(m, 0.0)
     return a1, m
@@ -213,7 +214,11 @@ def gru_forward(x: np.ndarray, h: np.ndarray, params: NetParams) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({params.input_dim},)")
-    return _cell(x, _check_state(h, params), params)[-1]
+    h = _check_state(h, params)
+    u = _sigmoid(params.w_update @ x + params.u_update @ h + params.b_update)
+    r = _sigmoid(params.w_reset @ x + params.u_reset @ h + params.b_reset)
+    c = np.tanh(params.w_cand @ x + params.u_cand @ (r * h) + params.b_cand)
+    return (1.0 - u) * h + u * c
 
 
 def output_forward(h: np.ndarray, params: NetParams) -> np.ndarray:
@@ -292,46 +297,122 @@ def _as_matrix(X) -> np.ndarray:
     return arr
 
 
+def _as_labels(labels) -> np.ndarray:
+    labs = np.asarray(labels)
+    if labs.dtype.kind not in "iu":
+        labs = np.array([int(v) for v in labels], dtype=np.int64)
+    if labs.ndim != 1:
+        raise ValueError(f"labels must be a sequence, got shape {labs.shape}")
+    if labs.size and labs.min() < 1:
+        raise ValueError("labels must be positive integers")
+    return labs
+
+
+def _pack(labs: np.ndarray):
+    """Speaker-major packed order of an utterance's steps.
+
+    Each speaker's steps form a thread.  The threads are sorted longest
+    first by a stable sort over their order of first appearance, so the
+    threads still running at thread step j are a prefix of that order.
+    Packed rows hold thread step 0 of every thread, then thread step 1 of
+    every thread that has one, and so on.
+
+    Returns the packed row of each time step; per thread step, the slice
+    of its rows with the slice of their predecessors' rows (None at thread
+    step 0), which are the first rows of the previous thread step in the
+    same thread order; and per packed row, its thread's step count so
+    far, that step included.
+    """
+    _, first_seen, speaker, length = np.unique(
+        labs, return_index=True, return_inverse=True, return_counts=True
+    )
+    by_appearance = np.argsort(first_seen, kind="stable")
+    order = by_appearance[np.argsort(-length[by_appearance], kind="stable")]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    grouped = np.argsort(speaker, kind="stable")  # time steps speaker by speaker
+    step = np.empty_like(grouped)
+    step[grouped] = np.arange(labs.size) - np.repeat(np.cumsum(length) - length, length)
+    active = np.bincount(step)  # threads running at each thread step
+    bounds = [0, *np.cumsum(active).tolist()]
+    steps = [
+        (slice(lo, hi), slice(prev, prev + hi - lo) if j else None)
+        for j, (prev, lo, hi) in enumerate(zip([0, *bounds], bounds, bounds[1:]))
+    ]
+    count = np.repeat(np.arange(1, active.size + 1), active)
+    return np.take(bounds, step) + rank[speaker], steps, count
+
+
+class _Pass(NamedTuple):
+    """The teacher-forced pass in packed row order (see ``_pack``), with
+    everything the reverse sweep reuses."""
+
+    steps: list
+    x_in: np.ndarray  # (T, d) cell inputs
+    h_in: np.ndarray  # (T, H) cell states before the step
+    gates: np.ndarray  # (T, 3H) update gate | reset gate | candidate
+    hidden: np.ndarray  # (T, H) cell states after the step
+    a1: np.ndarray  # (T, F) head hidden layer
+    m: np.ndarray  # (T, d) head outputs
+    count: np.ndarray  # (T,) steps of the thread so far, this one included
+    resid: np.ndarray  # (T, d) observation minus emission mean
+    sq: float  # squared norm of resid
+
+
 def _teacher_forced(X, labels, net: NetParams, em: EmissionParams):
     """Teacher-forced pass over an utterance under fixed labels.
 
-    Returns the total log-density, the (T, d) record of per-step emission
-    means, and per step the intermediates the reverse sweep needs.
+    Under teacher forcing every cell input is the thread's previous
+    observation, so the input projections of all steps take one matmul,
+    the recurrence advances all running threads of a thread step at once,
+    and the head runs once over all steps.  The running mean is a
+    cumulative sum along each thread divided by the step count.
+
+    Returns the total log-density, the (T, d) per-step emission means in
+    time order, and the pass in packed order.
     """
     x = _as_matrix(X)
-    labs = [int(v) for v in labels]
-    if len(labs) != x.shape[0]:
+    labs = _as_labels(labels)
+    if labs.size != x.shape[0]:
         raise ValueError(
-            f"length mismatch: {x.shape[0]} embeddings vs {len(labs)} labels"
+            f"length mismatch: {x.shape[0]} embeddings vs {labs.size} labels"
         )
-    if any(v < 1 for v in labs):
-        raise ValueError("labels must be positive integers")
     if x.shape[1] != net.input_dim:
         raise ValueError(f"embedding dim {x.shape[1]} != net input dim {net.input_dim}")
+    hid = net.hidden_dim
+    row, steps, count = _pack(labs)
+    x_seq = np.empty_like(x)
+    x_seq[row] = x
+    x_in = np.zeros_like(x)
+    for cur, prev in steps[1:]:
+        x_in[cur] = x_seq[prev]
+    gate_x = x_in @ np.concatenate((net.w_update, net.w_reset, net.w_cand)).T
+    gate_x += np.concatenate((net.b_update, net.b_reset, net.b_cand))
+    u_gates = np.concatenate((net.u_update, net.u_reset))
+    h_in = np.zeros((x.shape[0], hid))
+    gates = np.empty((x.shape[0], 3 * hid))
+    hidden = np.empty_like(h_in)
+    for cur, prev in steps:
+        h = h_in[cur]
+        if prev is not None:
+            h[...] = hidden[prev]
+        ur = _sigmoid(gate_x[cur, : 2 * hid] + h @ u_gates.T)
+        u = ur[:, :hid]
+        c = np.tanh(gate_x[cur, 2 * hid :] + (ur[:, hid:] * h) @ net.u_cand.T)
+        hidden[cur] = (1.0 - u) * h + u * c
+        gates[cur, : 2 * hid] = ur
+        gates[cur, 2 * hid :] = c
+    a1, m = _head(hidden, net)
+    mean_sum = m.copy()
+    for cur, prev in steps[1:]:
+        mean_sum[cur] += mean_sum[prev]
+    mus = mean_sum / count[:, None]
+    resid = x_seq - mus
     sigma2 = em.sigma2
     log_norm = -0.5 * x.shape[1] * (LOG_TWO_PI + math.log(sigma2))
-    zeros_x = np.zeros(net.input_dim)
-    # Per speaker: its cell input and state for its next step, the sum of
-    # its head outputs so far, and its step count.
-    first = (zeros_x, np.zeros(net.hidden_dim), zeros_x, 0)
-    threads = {}
-    mus = np.empty_like(x)
-    cache = []
-    total = 0.0
-    for t in range(x.shape[0]):
-        speaker = labs[t]
-        x_in, h_in, mean_sum, count = threads.get(speaker, first)
-        u, r, rh, c, h = _cell(x_in, h_in, net)
-        a1, m = _head(h, net)
-        mean_sum = mean_sum + m
-        count += 1
-        mu = mus[t] = mean_sum / count
-        resid = x[t] - mu
-        sq = float(resid @ resid)
-        total += log_norm - sq / (2.0 * sigma2)
-        cache.append((speaker, x_in, h_in, u, r, rh, c, h, a1, m, resid, count, sq))
-        threads[speaker] = (x[t], h, mean_sum, count)
-    return total, mus, cache
+    sq = float(np.einsum("ij,ij->", resid, resid))
+    total = x.shape[0] * log_norm - sq / (2.0 * sigma2)
+    return total, mus[row], _Pass(steps, x_in, h_in, gates, hidden, a1, m, count, resid, sq)
 
 
 def forward_log_likelihood(X, labels, net: NetParams, em: EmissionParams):
@@ -360,55 +441,60 @@ def backward_gradients(X, labels, net: NetParams, em: EmissionParams) -> Gradien
     """Exact reverse-mode gradients of forward_log_likelihood with respect
     to every net tensor and to log(sigma2).
 
-    Two coupling paths matter and both are handled here: the hidden-state
-    chain across each speaker's interleaved steps, and the running mean,
-    through which a head output at step s feeds the emission mean of every
-    later step of the same speaker with weight 1/count at that step.
-    """
-    total, _, cache = _teacher_forced(X, labels, net, em)
-    sigma2 = em.sigma2
-    dim = net.input_dim
-    g_log_sigma2 = sum(sq / (2.0 * sigma2) - 0.5 * dim for *_, sq in cache)
+    The sweep runs over the speaker-major packed pass.  Two coupling paths
+    matter.  The running mean feeds a head output at thread step j into
+    the emission mean of every later step of its thread, with weight
+    1/count there, so the head outputs' adjoint is a reverse cumulative
+    sum of dmu / count along each thread.  The hidden-state chain is
+    backpropagated through time one thread step at a time over the same
+    prefixes of running threads.  Each weight gradient is then one matmul
+    over the stacked steps.
 
+    Threads never interact, so an utterance may hold several independent
+    ones, such as a whole minibatch with each utterance's speakers
+    numbered apart: the result is then the sum of the utterances'.
+    """
+    total, _, p = _teacher_forced(X, labels, net, em)
+    sigma2 = em.sigma2
+    hid = net.hidden_dim
+    g_log_sigma2 = p.sq / (2.0 * sigma2) - 0.5 * net.input_dim * len(p.resid)
+
+    dm = p.resid / sigma2 / p.count[:, None]
+    for cur, prev in reversed(p.steps[1:]):
+        dm[prev] += dm[cur]
+    if net.relu_output:
+        dm *= p.m > 0.0
     grads = net.zeros_like()
-    dmean: dict[int, np.ndarray] = {}  # sum over later same-speaker steps of dmu/count
-    dh_carry: dict[int, np.ndarray] = {}
-    for speaker, x_in, h_in, u, r, rh, c, h, a1, m, resid, count, _ in reversed(cache):
-        acc = dmean.get(speaker)
-        dmu = resid / sigma2
-        acc = dmu / count if acc is None else acc + dmu / count
-        dmean[speaker] = acc
-        dm = acc * (m > 0.0) if net.relu_output else acc
-        # head
-        grads.w_fc2 += dm[:, None] * a1
-        grads.b_fc2 += dm
-        da1 = (net.w_fc2.T @ dm) * (a1 > 0.0)
-        grads.w_fc1 += da1[:, None] * h
-        grads.b_fc1 += da1
-        dh = net.w_fc1.T @ da1
-        carry = dh_carry.pop(speaker, None)
-        if carry is not None:
-            dh = dh + carry
-        # cell
-        du = dh * (c - h_in)
-        dc = dh * u
-        dh_in = dh * (1.0 - u)
-        dac = dc * (1.0 - c * c)
-        grads.w_cand += dac[:, None] * x_in
-        grads.u_cand += dac[:, None] * rh
-        grads.b_cand += dac
-        drh = net.u_cand.T @ dac
-        dr = drh * h_in
-        dh_in = dh_in + drh * r
-        dau = du * u * (1.0 - u)
-        dar = dr * r * (1.0 - r)
-        grads.w_update += dau[:, None] * x_in
-        grads.u_update += dau[:, None] * h_in
-        grads.b_update += dau
-        grads.w_reset += dar[:, None] * x_in
-        grads.u_reset += dar[:, None] * h_in
-        grads.b_reset += dar
-        dh_carry[speaker] = dh_in + net.u_update.T @ dau + net.u_reset.T @ dar
+    grads.w_fc2[...] = dm.T @ p.a1
+    grads.b_fc2[...] = dm.sum(axis=0)
+    da1 = (dm @ net.w_fc2) * (p.a1 > 0.0)
+    grads.w_fc1[...] = da1.T @ p.hidden
+    grads.b_fc1[...] = da1.sum(axis=0)
+    dh = da1 @ net.w_fc1  # gains each step's carry from its thread's next step
+
+    # Local derivatives of the gate pre-activations, taken over all steps
+    # at once; only the state adjoint has to wait for the sweep.
+    u, r, c = np.split(p.gates, 3, axis=1)
+    local_u = (c - p.h_in) * u * (1.0 - u)
+    local_r = p.h_in * r * (1.0 - r)
+    local_c = u * (1.0 - c * c)
+    keep = 1.0 - u
+    u_gates = np.concatenate((net.u_update, net.u_reset))
+    da = np.empty_like(p.gates)  # gate pre-activation adjoints, gates' layout
+    for cur, prev in reversed(p.steps):
+        dh_out = dh[cur]
+        dac = dh_out * local_c[cur]
+        drh = dac @ net.u_cand
+        da[cur, :hid] = dh_out * local_u[cur]
+        da[cur, hid : 2 * hid] = drh * local_r[cur]
+        da[cur, 2 * hid :] = dac
+        if prev is not None:
+            dh[prev] += dh_out * keep[cur] + drh * r[cur] + da[cur, : 2 * hid] @ u_gates
+    rh = r * p.h_in
+    grads.w_update[...], grads.w_reset[...], grads.w_cand[...] = np.split(da.T @ p.x_in, 3)
+    grads.u_update[...], grads.u_reset[...] = np.split(da[:, : 2 * hid].T @ p.h_in, 2)
+    grads.u_cand[...] = da[:, 2 * hid :].T @ rh
+    grads.b_update[...], grads.b_reset[...], grads.b_cand[...] = np.split(da.sum(axis=0), 3)
     return GradientResult(grads, g_log_sigma2, total)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import TrainingError
 from .model import ModelParams, init_model_params
-from .net import NetParams, backward_gradients
+from .net import backward_gradients
 from .prior import (
     PriorParams,
     change_log_prob,
@@ -107,6 +107,21 @@ def _validated_corpus(corpus) -> list[tuple[EmbeddingSequence, LabelSequence]]:
     return pairs
 
 
+def _non_finite(params: ModelParams, batch, ids) -> str:
+    """Name the first utterance whose own gradient is non-finite, taking
+    each utterance's gradient on its own."""
+    for (X, Y), utt in zip(batch, ids):
+        result = backward_gradients(X, Y, params.net, params.emission)
+        ga = grad_alpha(Y, derive_change_indicators(Y), params.prior.alpha)
+        if not (
+            np.isfinite(result.net.flat).all()
+            and math.isfinite(result.log_sigma2)
+            and math.isfinite(ga)
+        ):
+            return f"utterance {utt}"
+    return "the minibatch sum of utterances " + ", ".join(ids)
+
+
 def minibatch_step(
     params: ModelParams,
     batch,
@@ -128,34 +143,37 @@ def minibatch_step(
     if not batch:
         raise ValueError("empty minibatch")
     ids = [str(i) for i in range(len(batch))] if batch_ids is None else list(batch_ids)
-    net_grads: NetParams | None = None
-    g_log_sigma2 = 0.0
+    # Threads never interact, so the whole batch is one utterance whose
+    # speakers are numbered apart, utterance after utterance.
+    embeddings, labels = [], []
+    speakers = 0
+    for X, Y in batch:
+        x = X.values if isinstance(X, EmbeddingSequence) else np.asarray(X, dtype=np.float64)
+        if len(x) != len(Y):
+            raise ValueError(f"length mismatch: {len(x)} embeddings vs {len(Y)} labels")
+        embeddings.append(x)
+        labels.append(np.asarray(Y.labels) + speakers)
+        speakers += Y.num_speakers
+    result = backward_gradients(
+        np.concatenate(embeddings), np.concatenate(labels), params.net, params.emission
+    )
+    net_grads = result.net
+    g_log_sigma2 = result.log_sigma2
     g_alpha = 0.0
-    objective = 0.0
-    for (X, Y), utt in zip(batch, ids):
-        result = backward_gradients(X, Y, params.net, params.emission)
+    objective = result.log_likelihood
+    finite = np.isfinite(net_grads.flat).all() and math.isfinite(g_log_sigma2)
+    for _, Y in batch:
         z = derive_change_indicators(Y)
         ga = grad_alpha(Y, z, params.prior.alpha)
-        if (
-            not np.isfinite(result.net.flat).all()
-            or not math.isfinite(result.log_sigma2)
-            or not math.isfinite(ga)
-        ):
-            raise TrainingError(f"non-finite gradient for utterance {utt}")
-        if net_grads is None:
-            net_grads = result.net
-        else:
-            net_grads.flat += result.net.flat
-        g_log_sigma2 += result.log_sigma2
+        finite = finite and math.isfinite(ga)
         g_alpha += ga
-        objective += result.log_likelihood
         objective += sequence_assignment_log_prob(Y, z, params.prior.alpha)
         objective += sum(change_log_prob(zi, params.prior.p0) for zi in z)
+    if not finite:
+        raise TrainingError(f"non-finite gradient for {_non_finite(params, batch, ids)}")
     g_log_alpha = params.prior.alpha * g_alpha
     if config.grad_clip_norm is not None:
-        # Summed tensor by tensor: one dot product over the flat vector
-        # would reorder the sum and move the last bits of every checkpoint.
-        net_sq = sum((g**2).sum() for g in net_grads.tensor_dict().values())
+        net_sq = float(net_grads.flat @ net_grads.flat)
         norm = math.sqrt(net_sq + g_log_sigma2**2 + g_log_alpha**2)
         if norm > config.grad_clip_norm:
             factor = config.grad_clip_norm / norm

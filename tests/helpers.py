@@ -103,18 +103,21 @@ def scalar_head_oracle(h, net):
 
 
 def per_speaker_ll_oracle(X, labels, net, em):
-    """Log-likelihood recomputed speaker by speaker instead of interleaved.
+    """Log-likelihood and per-step emission means recomputed speaker by
+    speaker instead of interleaved.
 
     For each speaker, replay its own observation subsequence through a
     private recurrence, take running means of the head outputs, and score
     each observation where it sits in the original order.  Agreement with
     the interleaved implementation checks that threads never interact.
+    Returns (total, (T, d) means in time order).
     """
     from diarnn.net import gru_forward, output_forward, gaussian_log_pdf
 
     x = np.asarray(X.values if hasattr(X, "values") else X, dtype=np.float64)
     labs = list(labels)
     total = 0.0
+    mus = np.empty_like(x)
     for speaker in sorted(set(labs)):
         positions = [t for t, lab in enumerate(labs) if lab == speaker]
         h = np.zeros(net.hidden_dim)
@@ -123,10 +126,10 @@ def per_speaker_ll_oracle(X, labels, net, em):
         for t in positions:
             h = gru_forward(prev_x, h, net)
             outputs.append(output_forward(h, net))
-            mu = np.mean(outputs, axis=0)
-            total += gaussian_log_pdf(x[t], mu, em.sigma2)
+            mus[t] = np.mean(outputs, axis=0)
+            total += gaussian_log_pdf(x[t], mus[t], em.sigma2)
             prev_x = x[t]
-    return total
+    return total, mus
 
 
 def sequential_assignment_oracle(labels, alpha):

@@ -246,7 +246,7 @@ def test_forward_ll_matches_per_speaker_replay():
         X = EmbeddingSequence(rng.normal(size=(12, 3)))
         em = EmissionParams(float(rng.uniform(-1.0, 0.5)))
         ll, _ = forward_log_likelihood(X, labels, net, em)
-        assert ll == pytest.approx(per_speaker_ll_oracle(X, labels, net, em), rel=1e-12)
+        assert ll == pytest.approx(per_speaker_ll_oracle(X, labels, net, em)[0], rel=1e-12)
 
 
 def test_forward_ll_running_mean_includes_current_output():
@@ -308,6 +308,28 @@ def test_forward_ll_splitting_independent_speakers():
     assert ll == pytest.approx(ll_a + ll_b, rel=1e-12)
 
 
+def _ragged_labeling(rng):
+    """A non-canonical labeling with gaps in its ids: threads of 30, 17, 8,
+    8, 3, 1 and 1 steps, interleaved at random."""
+    lengths = {7: 30, 3: 17, 12: 8, 40: 8, 5: 3, 9: 1, 2: 1}
+    labels = [speaker for speaker, n in lengths.items() for _ in range(n)]
+    rng.shuffle(labels)
+    return labels
+
+
+@pytest.mark.parametrize("relu_output", [False, True])
+def test_forward_ll_ragged_labeling_matches_per_speaker_replay(relu_output):
+    rng = np.random.default_rng(31)
+    net = init_net_params(3, 4, 5, rng, relu_output=relu_output)
+    labels = _ragged_labeling(rng)
+    X = EmbeddingSequence(rng.normal(size=(len(labels), 3)))
+    em = EmissionParams(-0.4)
+    ll, mus = forward_log_likelihood(X, labels, net, em)
+    ll_oracle, mus_oracle = per_speaker_ll_oracle(X, labels, net, em)
+    assert ll == pytest.approx(ll_oracle, rel=1e-12)
+    np.testing.assert_allclose(mus, mus_oracle, rtol=1e-12, atol=1e-14)
+
+
 def test_forward_ll_length_mismatch():
     net = zero_net_params(2)
     with pytest.raises(ValueError):
@@ -316,11 +338,11 @@ def test_forward_ll_length_mismatch():
 
 # ------------------------------------------------------------------- gradients
 
-def _fd_check(seed, relu_output=False, places=4):
+def _fd_check(seed, relu_output=False, places=4, labeling=None):
     rng = np.random.default_rng(seed)
     net = init_net_params(3, 4, 4, rng, relu_output=relu_output)
-    labels = random_canonical_labels(rng, 6, max_speakers=3)
-    X = EmbeddingSequence(rng.normal(size=(6, 3)))
+    labels = random_canonical_labels(rng, 6, max_speakers=3) if labeling is None else labeling(rng)
+    X = EmbeddingSequence(rng.normal(size=(len(labels), 3)))
     em = EmissionParams(float(rng.uniform(-0.5, 0.5)))
     res = backward_gradients(X, labels, net, em)
 
@@ -349,6 +371,11 @@ def test_gradients_match_finite_differences(seed):
 
 def test_gradients_match_finite_differences_relu_head():
     _fd_check(101, relu_output=True)
+
+
+@pytest.mark.parametrize("relu_output", [False, True])
+def test_gradients_match_finite_differences_ragged_labeling(relu_output):
+    _fd_check(202, relu_output=relu_output, labeling=_ragged_labeling)
 
 
 def test_grad_log_sigma2_closed_form_example():

@@ -7,8 +7,9 @@ import pytest
 
 from diarnn.errors import TrainingError
 from diarnn.model import init_model_params
-from diarnn.net import TENSOR_FIELDS
-from diarnn.sequences import EmbeddingSequence, LabelSequence
+from diarnn.net import TENSOR_FIELDS, backward_gradients
+from diarnn.prior import grad_alpha
+from diarnn.sequences import EmbeddingSequence, LabelSequence, derive_change_indicators
 from diarnn.trainer import TrainConfig, minibatch_step, train
 
 from helpers import random_canonical_labels
@@ -117,6 +118,43 @@ def test_grad_clip_bounds_update_norm():
     moved += (params.emission.log_sigma2 - base.emission.log_sigma2) ** 2
     moved += (math.log(params.alpha) - math.log(base.alpha)) ** 2
     assert math.sqrt(moved) <= rho * clip * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("clip", [None, 1.0])
+def test_step_equals_sum_of_per_utterance_gradients(clip):
+    # one packed pass over the whole batch against the gradients of each
+    # utterance taken on its own and summed
+    rng = np.random.default_rng(12)
+    batch = []
+    for length, speakers in ((1, 1), (9, 2), (40, 6), (23, 3), (60, 1), (17, 4)):
+        labels = random_canonical_labels(rng, length, max_speakers=speakers)
+        batch.append((EmbeddingSequence(rng.normal(size=(length, 2))), labels))
+    base = init_model_params(2, 5, 4, seed=4, sigma2=0.6, alpha=1.3)
+    step, scale = 1e-3, 2.5
+
+    params = base.copy()
+    minibatch_step(params, batch, scale=scale,
+                   config=TrainConfig(step_size=step, grad_clip_norm=clip))
+
+    net = base.net.zeros_like()
+    g_log_sigma2 = g_alpha = 0.0
+    for X, Y in batch:
+        result = backward_gradients(X, Y, base.net, base.emission)
+        net.flat += result.net.flat
+        g_log_sigma2 += result.log_sigma2
+        g_alpha += grad_alpha(Y, derive_change_indicators(Y), base.alpha)
+    g_log_alpha = base.alpha * g_alpha
+    norm = math.sqrt(float(net.flat @ net.flat) + g_log_sigma2**2 + g_log_alpha**2)
+    factor = clip / norm if clip is not None and norm > clip else 1.0
+    assert (factor < 1.0) == (clip is not None)
+    rate = scale * step * factor
+    want = rate * net.flat
+    np.testing.assert_allclose(params.net.flat - base.net.flat, want,
+                               rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert params.emission.log_sigma2 - base.emission.log_sigma2 == pytest.approx(
+        rate * g_log_sigma2, rel=1e-12)
+    assert math.log(params.alpha) - math.log(base.alpha) == pytest.approx(
+        rate * g_log_alpha, rel=1e-12)
 
 
 # ----------------------------------------------------------------- train loop
