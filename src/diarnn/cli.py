@@ -175,6 +175,8 @@ def _cmd_eval(args) -> int:
         )
     if total_scored == 0.0:
         raise ValueError(f"no utterance in {args.ref} has scorable time")
+    for utt in sorted(set(hyp) - set(ref)):
+        print(f"utt={utt} skip reason=not-in-reference")
     print(f"DER={total_confusion / total_scored:.6f}")
     return 0
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .decoder import advance_hypothesis, empty_hypothesis
 from .errors import FormatError
 from .model import ModelParams
 from .net import (
@@ -21,20 +22,11 @@ from .net import (
     TENSOR_FIELDS,
     EmissionParams,
     NetParams,
-    SpeakerThread,
-    advance_thread,
-    fresh_thread,
     gaussian_log_pdf,
-    thread_emission_mean,
+    input_projection,
 )
 from .prior import PriorParams, assignment_candidates, change_log_prob
-from .sequences import (
-    BlockCounts,
-    EmbeddingSequence,
-    LabelSequence,
-    canonicalize,
-    update_block_counts,
-)
+from .sequences import EmbeddingSequence, LabelSequence, canonicalize
 
 __all__ = [
     "CHECKPOINT_FORMAT_VERSION",
@@ -176,9 +168,11 @@ def sample_utterance(params: ModelParams, length: int, rng, with_log_prob: bool 
     """Draw one utterance from the generative process.
 
     rng may be an integer seed or a numpy Generator.  Labels come out
-    canonical by construction.  With with_log_prob the accumulated log
-    joint of the draw is returned as a third element; it matches the
-    scoring path for the same (embeddings, labels) pair.
+    canonical by construction.  The draw steps the decoder's online state
+    (one row), picking each label by its draws rather than by its score.
+    With with_log_prob the accumulated log joint of the draw is returned
+    as a third element; it matches the scoring path for the same
+    (embeddings, labels) pair.
     """
     if length < 1:
         raise ValueError(f"length must be at least 1, got {length}")
@@ -188,50 +182,46 @@ def sample_utterance(params: ModelParams, length: int, rng, with_log_prob: bool 
     sigma2 = params.emission.sigma2
     sigma = math.sqrt(sigma2)
     dim = params.net.input_dim
-    fresh = fresh_thread(params.net)
-    threads: list[SpeakerThread] = []
+    stay, switch = change_log_prob(0, p0), change_log_prob(1, p0)
+    state = empty_hypothesis(params)
     labels: list[int] = []
-    blocks: BlockCounts | None = None
     x = np.empty((length, dim))
-    total = 0.0
     for t in range(length):
         if t == 0:
             speaker = 1
             lp = 0.0
         elif gen.random() >= 1.0 - p0:
-            speaker = blocks.last_speaker
-            lp = change_log_prob(0, p0)
+            speaker = labels[-1]
+            lp = stay
         else:
             # A change: walk the switch options by their probability given
             # the change.  The last option, a new speaker, also takes the
             # draws that rounding leaves past the running sum.
-            switch = change_log_prob(1, p0)
-            options = assignment_candidates(blocks, alpha, p0)[1:]
+            known = int(state.blocks.num_speakers[0])
+            log_prior = assignment_candidates(state.blocks, alpha, p0)[0].tolist()
             draw = gen.random()
-            pick = options[-1]
+            speaker = known + 1
             acc = 0.0
-            for option in options[:-1]:
-                acc += math.exp(option.log_prior - switch)
+            for option in range(1, known + 1):
+                if option == labels[-1]:
+                    continue
+                acc += math.exp(log_prior[option - 1] - switch)
                 if draw < acc:
-                    pick = option
+                    speaker = option
                     break
-            speaker, lp = pick.speaker, pick.log_prior
-        thread = threads[speaker - 1] if speaker <= len(threads) else fresh
-        mu = thread_emission_mean(thread)
+            lp = log_prior[speaker - 1]
+        mu = state.mean[0, speaker - 1]
         x[t] = mu + sigma * gen.standard_normal(dim)
-        lp += gaussian_log_pdf(x[t], mu, sigma2)
-        total += lp
+        if with_log_prob:  # otherwise the state's running total is the prior's alone
+            lp += gaussian_log_pdf(x[t], mu, sigma2)
         labels.append(speaker)
-        advanced = advance_thread(thread, x[t], params.net)
-        if speaker <= len(threads):
-            threads[speaker - 1] = advanced
-        else:
-            threads.append(advanced)
-        blocks = BlockCounts((1,), 1) if blocks is None else update_block_counts(blocks, speaker)
+        state = advance_hypothesis(
+            state, input_projection(x[t], state.cell), None, np.array([speaker]), lp
+        )
     emb = EmbeddingSequence(x)
     labs = LabelSequence(tuple(labels))
     if with_log_prob:
-        return emb, labs, total
+        return emb, labs, float(state.log_prob[0])
     return emb, labs
 
 

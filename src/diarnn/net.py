@@ -28,8 +28,13 @@ Each named tensor is a reshaped view into it, so a write through either
 is seen by the other.  A gradient has the same type and layout, which
 makes accumulation, clipping and the update one vector operation each.
 
-Online use (decoding, sampling) advances one thread at a time through
-``advance_thread``.  Teacher-forced scoring and its gradients, where the
+Online use (decoding, sampling) steps many threads at once through
+``advance_thread``: one cell step and the head over an (n, H) stack of
+states, one per thread, with the input projections W x of their
+observations taken ahead (``input_projection``) from the gate weights
+stacked once per pass (``stack_net``).  The online cell keeps the sums in
+the order (W x + U h) + b, so a single thread gets the same bits as
+``gru_forward``.  Teacher-forced scoring and its gradients, where the
 labels are fixed, run speaker-major instead: the steps are grouped into
 speaker threads sorted longest first, so the threads still running at
 thread step j are a prefix of that order, and the pass advances all of
@@ -53,14 +58,14 @@ __all__ = [
     "TENSOR_FIELDS",
     "NetParams",
     "EmissionParams",
-    "SpeakerThread",
+    "StackedNet",
     "GradientResult",
     "gru_forward",
     "output_forward",
     "gaussian_log_pdf",
-    "fresh_thread",
+    "stack_net",
+    "input_projection",
     "advance_thread",
-    "thread_emission_mean",
     "forward_log_likelihood",
     "backward_gradients",
     "init_net_params",
@@ -189,7 +194,13 @@ class EmissionParams:
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-v))
+    """1 / (1 + exp(-v)), in place in one new array.  exp overflows past
+    709; clamping its argument at 700 leaves every value above -700 bit for
+    bit as it was and maps the rest below 1e-304."""
+    e = np.minimum(-v, 700.0)
+    np.exp(e, e)
+    e += 1.0
+    return np.reciprocal(e, e)
 
 
 def _head(h: np.ndarray, net: NetParams):
@@ -200,6 +211,54 @@ def _head(h: np.ndarray, net: NetParams):
     if net.relu_output:
         m = np.maximum(m, 0.0)
     return a1, m
+
+
+class StackedNet(NamedTuple):
+    """A net's weights as the online pass multiplies them: the gate
+    weights stacked and transposed, the biases split at the candidate
+    gate.  The stacks are copies: stack the net again after its
+    weights change."""
+
+    w_in_t: np.ndarray  # (d, 3H) input weights of update | reset | candidate
+    u_gates_t: np.ndarray  # (H, 2H) recurrent weights of update | reset
+    u_cand_t: np.ndarray  # (H, H) recurrent weights of the candidate
+    b_gates: np.ndarray  # (2H,) biases of update | reset
+    b_cand: np.ndarray  # (H,)
+    net: NetParams
+
+
+def stack_net(net: NetParams) -> StackedNet:
+    return StackedNet(
+        np.concatenate((net.w_update, net.w_reset, net.w_cand)).T,
+        np.concatenate((net.u_update, net.u_reset)).T,
+        net.u_cand.T,
+        np.concatenate((net.b_update, net.b_reset)),
+        net.b_cand,
+        net,
+    )
+
+
+def input_projection(x: np.ndarray, cell: StackedNet) -> np.ndarray:
+    """W x of the three gates for one observation (3H,) or a stack of them
+    (T, 3H): the part of a cell step that does not depend on the state."""
+    return x @ cell.w_in_t
+
+
+def _cell(x_proj: np.ndarray, h: np.ndarray, cell: StackedNet) -> np.ndarray:
+    """One cell update of one state or a stack of states, one per row, all
+    consuming the observation whose input projection is ``x_proj`` (3H,)."""
+    gates = cell.b_gates.shape[0]
+    pre = x_proj[:gates] + h @ cell.u_gates_t
+    pre += cell.b_gates
+    ur = _sigmoid(pre)
+    u = ur[..., : gates // 2]
+    c = x_proj[gates:] + (ur[..., gates // 2 :] * h) @ cell.u_cand_t
+    c += cell.b_cand
+    np.tanh(c, c)
+    out = 1.0 - u
+    out *= h
+    out += u * c
+    return out
 
 
 def _check_state(h: np.ndarray, params: NetParams) -> np.ndarray:
@@ -215,10 +274,8 @@ def gru_forward(x: np.ndarray, h: np.ndarray, params: NetParams) -> np.ndarray:
     if x.shape != (params.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({params.input_dim},)")
     h = _check_state(h, params)
-    u = _sigmoid(params.w_update @ x + params.u_update @ h + params.b_update)
-    r = _sigmoid(params.w_reset @ x + params.u_reset @ h + params.b_reset)
-    c = np.tanh(params.w_cand @ x + params.u_cand @ (r * h) + params.b_cand)
-    return (1.0 - u) * h + u * c
+    cell = stack_net(params)
+    return _cell(input_projection(x, cell), h, cell)
 
 
 def output_forward(h: np.ndarray, params: NetParams) -> np.ndarray:
@@ -226,66 +283,34 @@ def output_forward(h: np.ndarray, params: NetParams) -> np.ndarray:
     return _head(_check_state(h, params), params)[1]
 
 
-def gaussian_log_pdf(x: np.ndarray, mu: np.ndarray, sigma2: float) -> float:
-    """Log-density of a spherical Gaussian with variance sigma2 per axis."""
+def gaussian_log_pdf(x: np.ndarray, mu: np.ndarray, sigma2: float):
+    """Log-density of a spherical Gaussian with variance sigma2 per axis.
+
+    ``mu`` is one mean (d,), giving a float, or means stacked along
+    leading axes (..., d), giving an array of their shape.
+    """
     if sigma2 <= 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     x = np.asarray(x, dtype=np.float64)
     mu = np.asarray(mu, dtype=np.float64)
-    if x.shape != mu.shape or x.ndim != 1:
+    if x.ndim != 1 or mu.shape[-1:] != x.shape:
         raise ValueError(f"mismatched shapes {x.shape} vs {mu.shape}")
     diff = x - mu
-    return (
-        -0.5 * x.shape[0] * (LOG_TWO_PI + math.log(sigma2))
-        - float(diff @ diff) / (2.0 * sigma2)
-    )
+    if mu.ndim == 1:
+        sq = float(diff @ diff)
+    else:
+        # a stack of dot products, each summed as the 1-D ``diff @ diff``
+        sq = (diff[..., None, :] @ diff[..., :, None])[..., 0, 0]
+    return -0.5 * x.shape[0] * (LOG_TWO_PI + math.log(sigma2)) - sq / (2.0 * sigma2)
 
 
-@dataclass(frozen=True)
-class SpeakerThread:
-    """Recurrent state for one speaker.
-
-    ``hidden`` has already been advanced past the speaker's latest
-    observation, so it is the state the cell occupies at the speaker's next
-    step, and ``output`` caches the head value for it.  ``mean_sum`` and
-    ``count`` accumulate head outputs over the speaker's committed steps;
-    the emission mean for the next step is (mean_sum + output) / (count + 1),
-    i.e. the running mean after the pending output joins it.
-
-    Instances are immutable and may be shared freely between decoder
-    hypotheses.
-    """
-
-    hidden: np.ndarray
-    output: np.ndarray
-    mean_sum: np.ndarray
-    count: int
-
-
-def fresh_thread(params: NetParams) -> SpeakerThread:
-    """Thread for a speaker about to emit its first segment (zero input,
-    zero state)."""
-    hidden = gru_forward(
-        np.zeros(params.input_dim), np.zeros(params.hidden_dim), params
-    )
-    return SpeakerThread(
-        hidden, output_forward(hidden, params), np.zeros(params.input_dim), 0
-    )
-
-
-def thread_emission_mean(thread: SpeakerThread) -> np.ndarray:
-    return (thread.mean_sum + thread.output) / (thread.count + 1)
-
-
-def advance_thread(thread: SpeakerThread, x: np.ndarray, params: NetParams) -> SpeakerThread:
-    """Fold the observation just emitted by this speaker into its thread."""
-    hidden = gru_forward(np.asarray(x, dtype=np.float64), thread.hidden, params)
-    return SpeakerThread(
-        hidden,
-        output_forward(hidden, params),
-        thread.mean_sum + thread.output,
-        thread.count + 1,
-    )
+def advance_thread(x_proj: np.ndarray, h: np.ndarray, cell: StackedNet):
+    """Advance threads past an observation: the cell step from states
+    ``h`` (n, H), or one state (H,), given the observation's input
+    projection ``x_proj`` (3H,), then the head.  Returns the new states
+    and their head outputs, (n, d) or (d,)."""
+    hidden = _cell(x_proj, h, cell)
+    return hidden, _head(hidden, cell.net)[1]
 
 
 def _as_matrix(X) -> np.ndarray:

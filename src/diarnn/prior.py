@@ -10,14 +10,19 @@ non-change keeps the current speaker with probability one, so the run
 structure of the labels is exactly what the process prices.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .sequences import (
     BlockCounts,
+    BlockTable,
     ChangeIndicators,
     LabelSequence,
+    _label_index,
     block_counts,
     derive_change_indicators,
 )
@@ -70,9 +75,19 @@ def change_log_prob(z: int, p0: float) -> float:
     return math.log1p(-p0) if p0 < 1.0 else NEG_INF
 
 
-def assignment_candidates(
-    state: BlockCounts, alpha: float, p0: float
-) -> list[AssignmentOption]:
+@functools.lru_cache(maxsize=16)
+def _log_tables(alpha: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """log n of block counts n < size, with log(alpha) at n = 0, the count
+    of a speaker not seen yet; and log(m + alpha) of switch masses
+    m < size.  Each entry is a ``math.log``, so a table lookup has the
+    bits of the scalar expression."""
+    log_count = np.array([math.log(alpha)] + [math.log(n) for n in range(1, size)])
+    log_mass = np.array([math.log(m + alpha) for m in range(size)])
+    log_count.flags.writeable = log_mass.flags.writeable = False  # shared by every caller
+    return log_count, log_mass
+
+
+def assignment_candidates(state, alpha: float, p0: float):
     """Every admissible next speaker with its combined change + assignment
     log-prior.
 
@@ -81,27 +96,27 @@ def assignment_candidates(
     The exponentials of the log-priors always sum to one; a single known
     speaker needs no special casing because the switch mass then falls
     entirely on the new-speaker option.
+
+    ``state`` may also be a BlockTable of non-empty prefixes, which gives
+    one (B, K) array of log-priors instead, indexed by speaker: row b's
+    options are its first num_speakers[b] + 1 columns, column k - 1 for
+    speaker k, so the table needs a column past its known speakers.
+    Later columns are filler.
     """
-    PriorParams(p0=p0, alpha=alpha)  # validate the pair
-    last = state.last_speaker
-    switch = change_log_prob(1, p0)
-    mass = state.total_blocks - state.count(last)
-    log_denom = math.log(mass + alpha)
-    options = [AssignmentOption(last, 0, change_log_prob(0, p0))]
-    for speaker in range(1, state.num_speakers + 1):
-        if speaker == last:
-            continue
-        options.append(
-            AssignmentOption(
-                speaker, 1, switch + math.log(state.count(speaker)) - log_denom
-            )
-        )
-    options.append(
-        AssignmentOption(
-            state.num_speakers + 1, 1, switch + math.log(alpha) - log_denom
-        )
-    )
-    return options
+    if not (0.0 <= p0 <= 1.0 and alpha > 0.0):
+        PriorParams(p0=p0, alpha=alpha)  # raises with the reason
+    if isinstance(state, BlockCounts):
+        log_prior = assignment_candidates(BlockTable.of(state), alpha, p0)[0].tolist()
+        last = state.last_speaker
+        order = [last] + [k for k in range(1, state.num_speakers + 2) if k != last]
+        return [AssignmentOption(k, int(k != last), log_prior[k - 1]) for k in order]
+    current = _label_index(state.last)
+    size = max(64, 1 << int(state.total.max()).bit_length())
+    log_count, log_mass = _log_tables(alpha, size)
+    mass = state.total - state.counts[current]
+    log_prior = change_log_prob(1, p0) + log_count[state.counts] - log_mass[mass][:, None]
+    log_prior[current] = change_log_prob(0, p0)
+    return log_prior
 
 
 def _switch_masses(labels: LabelSequence) -> list[int]:

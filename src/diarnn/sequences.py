@@ -9,6 +9,7 @@ All interfaces use 1-based speaker ids.
 
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +18,7 @@ __all__ = [
     "LabelSequence",
     "ChangeIndicators",
     "BlockCounts",
+    "BlockTable",
     "canonicalize",
     "derive_change_indicators",
     "block_counts",
@@ -168,6 +170,43 @@ class BlockCounts:
         return {k + 1: n for k, n in enumerate(self.counts)}
 
 
+def _label_index(labels: np.ndarray):
+    """Index of column ``labels[b] - 1`` in each row b of a table.  A
+    single row is indexed plainly, which costs less than a gather and
+    drops the row axis."""
+    if labels.size == 1:
+        return 0, int(labels[0]) - 1
+    return np.arange(labels.size), labels - 1
+
+
+class BlockTable(NamedTuple):
+    """Block counts of many label prefixes at once, one row per prefix.
+
+    ``counts[b, k - 1]`` is the number of runs speaker k owns in prefix b,
+    and 0 for a speaker the prefix has not reached yet; there may be more
+    columns than speakers.  ``last`` is each prefix's last speaker (0 for
+    an empty prefix), ``num_speakers`` its known speakers and ``total``
+    its runs.  The arrays are not written after construction, so tables
+    may share them.
+    """
+
+    counts: np.ndarray  # (B, K) int
+    last: np.ndarray  # (B,) int
+    num_speakers: np.ndarray  # (B,) int
+    total: np.ndarray  # (B,) int
+
+    @classmethod
+    def of(cls, state: BlockCounts) -> "BlockTable":
+        """One prefix's counts as a one-row table, with one column to
+        spare for a new speaker."""
+        counts = np.array([state.counts + (0,)])
+        return cls(counts, np.array([state.last_speaker]),
+                   np.array([state.num_speakers]), np.array([state.total_blocks]))
+
+    def take(self, rows) -> "BlockTable":
+        return BlockTable(*(a[rows] for a in self))
+
+
 def block_counts(labels_prefix: LabelSequence) -> BlockCounts:
     """Run counts of a whole label prefix, computed in one scan."""
     counts: list[int] = []
@@ -181,23 +220,30 @@ def block_counts(labels_prefix: LabelSequence) -> BlockCounts:
     return BlockCounts(tuple(counts), last)
 
 
-def update_block_counts(state: BlockCounts, next_label: int) -> BlockCounts:
-    """Extend a block-count state by one label.
+def update_block_counts(state, next_label):
+    """Extend block counts by one label: a BlockCounts by one int, or each
+    row of a BlockTable by its entry of an int array.
 
     Continuing the current speaker changes nothing; revisiting another known
     speaker opens a new run for it; the id one past the known speakers opens
-    a brand new speaker.  Anything else is rejected.
+    a brand new speaker.  Anything else is rejected.  A table must have a
+    column for every label it is given.
     """
-    known = state.num_speakers
-    next_label = int(next_label)
-    if next_label < 1 or next_label > known + 1:
-        raise ValueError(
-            f"non-canonical label {next_label} after {known} known speakers"
-        )
-    if next_label == state.last_speaker:
+    if isinstance(state, BlockCounts):
+        table = update_block_counts(BlockTable.of(state), np.array([int(next_label)]))
+        known = int(table.num_speakers[0])
+        return BlockCounts(tuple(table.counts[0, :known].tolist()), int(table.last[0]))
+    labels = np.asarray(next_label)
+    counts = None
+    rows = zip(labels.tolist(), state.num_speakers.tolist(), state.last.tolist())
+    for row, (label, seen, last) in enumerate(rows):
+        if not 1 <= label <= seen + 1:
+            raise ValueError(f"non-canonical label {label} after {seen} known speakers")
+        if label != last:
+            if counts is None:
+                counts, total = state.counts.copy(), state.total.copy()
+            counts[row, label - 1] += 1
+            total[row] += 1
+    if counts is None:
         return state
-    if next_label == known + 1:
-        return BlockCounts(state.counts + (1,), next_label)
-    counts = list(state.counts)
-    counts[next_label - 1] += 1
-    return BlockCounts(tuple(counts), next_label)
+    return BlockTable(counts, labels, np.maximum(state.num_speakers, labels), total)

@@ -228,6 +228,23 @@ def test_eval_skips_utterance_without_scorable_time(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def test_eval_reports_hypothesis_utterance_missing_from_reference(tmp_path, capsys):
+    ref = tmp_path / "ref.rttm"
+    hyp = tmp_path / "hyp.rttm"
+    write_rttm([labels_to_timeline(LabelSequence((1, 1, 2, 2)), 1.0, utt="m")], ref)
+    write_rttm([
+        labels_to_timeline(LabelSequence((1, 1, 1, 1)), 1.0, utt="m"),
+        labels_to_timeline(LabelSequence((1, 2)), 1.0, utt="extra"),
+    ], hyp)
+    assert main(["eval", "--ref", str(ref), "--hyp", str(hyp), "--collar", "0"]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    assert out == [
+        "utt=m der=0.500000 confusion=2.000000 scored=4.000000",
+        "utt=extra skip reason=not-in-reference",
+        "DER=0.500000",
+    ]
+
+
 # ------------------------------------------------------------------- pipeline
 
 def test_sample_train_decode_eval_round_trip(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from diarnn.decoder import (
     EXHAUSTIVE_MAX_LENGTH,
     DecodeConfig,
+    advance_hypothesis,
     decode_beam,
     decode_greedy,
     empty_hypothesis,
@@ -15,6 +16,7 @@ from diarnn.decoder import (
     step_scores,
 )
 from diarnn.model import init_model_params, sequence_log_joint
+from diarnn.net import input_projection
 from diarnn.sequences import EmbeddingSequence, LabelSequence
 
 from helpers import random_canonical_labels, small_random_model, zero_net_model
@@ -34,7 +36,7 @@ def _random_instance(seed, length=6, dim=2):
 
 def test_first_step_is_forced():
     params = zero_net_model(1)
-    scores = step_scores(empty_hypothesis(), np.array([0.7]), params)
+    scores = step_scores(empty_hypothesis(params), np.array([0.7]), params).candidates()
     assert len(scores) == 1
     assert scores[0].label == 1
     assert scores[0].change is None
@@ -50,7 +52,7 @@ def test_step_scores_four_option_case():
     params = zero_net_model(1, sigma2=1.0, alpha=1.0, p0=0.5)
     X = np.zeros((6, 1))
     hyp = replay_hypothesis(X, (1, 1, 2, 3, 2, 2), params)
-    scores = step_scores(hyp, np.array([0.0]), params)
+    scores = step_scores(hyp, np.array([0.0]), params).candidates()
     g = -0.5 * math.log(2 * math.pi)
     assert [(s.label, s.change) for s in scores] == [(2, 0), (1, 1), (3, 1), (4, 1)]
     assert scores[0].log_prob == pytest.approx(math.log(0.5) + g, abs=1e-12)
@@ -62,9 +64,9 @@ def test_step_scores_suppresses_new_speaker_at_cap():
     params = zero_net_model(1)
     X = np.zeros((3, 1))
     hyp = replay_hypothesis(X, (1, 2, 1), params)
-    capped = step_scores(hyp, np.zeros(1), params, DecodeConfig(max_speakers=2))
+    capped = step_scores(hyp, np.zeros(1), params, DecodeConfig(max_speakers=2)).candidates()
     assert [s.label for s in capped] == [1, 2]
-    uncapped = step_scores(hyp, np.zeros(1), params)
+    uncapped = step_scores(hyp, np.zeros(1), params).candidates()
     assert [s.label for s in uncapped] == [1, 2, 3]
 
 
@@ -108,7 +110,7 @@ def test_step_scores_exact_ties_listed_in_preference_order():
     params = zero_net_model(1, p0=0.2, alpha=1.0)
     X = np.zeros((3, 1))
     hyp = replay_hypothesis(X, (1, 2, 3), params)
-    scores = step_scores(hyp, np.zeros(1), params)
+    scores = step_scores(hyp, np.zeros(1), params).candidates()
     assert [(s.label, s.change) for s in scores] == [(3, 0), (1, 1), (2, 1), (4, 1)]
     assert scores[1].log_prob == scores[2].log_prob == scores[3].log_prob
 
@@ -159,6 +161,24 @@ def test_beam_matches_exhaustive_at_full_width():
         exact = exhaustive_decode(X, params)
         assert tuple(beam.labels) == tuple(exact.labels)
         assert beam.log_prob == pytest.approx(exact.log_prob, rel=1e-12)
+
+
+def test_beam_matches_enumeration_oracle():
+    # a different route to the argmax: score every canonical labeling with
+    # the teacher-forced joint, keep those within the speaker cap, and take
+    # the best, ties to the lexicographically smallest labeling
+    for seed in range(20):
+        X, params = _random_instance(seed, length=6)
+        joints = {
+            labs: sequence_log_joint(X, LabelSequence(labs), params)
+            for labs in enumerate_canonical_labelings(6)
+        }
+        for cap in (None, 2):
+            allowed = [labs for labs in joints if cap is None or max(labs) <= cap]
+            best = min(allowed, key=lambda labs: (-joints[labs], labs))
+            res = decode_beam(X, params, DecodeConfig(beam_width=203, max_speakers=cap))
+            assert tuple(res.labels) == best
+            assert res.log_prob == pytest.approx(joints[best], abs=1e-10)
 
 
 def test_beam_log_prob_nondecreasing_in_width():
@@ -272,10 +292,31 @@ def test_replay_matches_joint_scorer():
         X, params = _random_instance(seed, length=7)
         labels = random_canonical_labels(rng, 7)
         hyp = replay_hypothesis(X, labels, params)
-        assert hyp.log_prob == pytest.approx(
+        assert hyp.log_prob[0] == pytest.approx(
             sequence_log_joint(X, labels, params), abs=1e-10
         )
-        assert sum(t.count for t in hyp.threads) == 7
+        assert hyp.count.sum() == 7
+
+
+def test_state_rows_share_nothing_they_write():
+    # a state is never written once built: expanding one row into every
+    # candidate, and replaying, leave the parent state's arrays as they were
+    X, params = _random_instance(5, length=4)
+    hyp = replay_hypothesis(X.values[:3], (1, 2, 1), params)
+    before = [hyp.slots.copy(), *(a.copy() for a in hyp.blocks), hyp.log_prob.copy()]
+    scores = step_scores(hyp, X.values[3], params)
+    width = int(scores.width[0])
+    labels = scores.preference()[0, :width]
+    children = advance_hypothesis(
+        hyp, input_projection(X.values[3], hyp.cell), np.zeros(width, dtype=int),
+        labels, scores.log_prob[0, labels - 1],
+    )
+    assert [children.labels(row) for row in range(width)] == [
+        (1, 2, 1, 1), (1, 2, 1, 2), (1, 2, 1, 3)
+    ]
+    after = [hyp.slots, *hyp.blocks, hyp.log_prob]
+    for old, new in zip(before, after):
+        np.testing.assert_array_equal(old, new)
 
 
 def test_replay_rejects_non_canonical_labels():

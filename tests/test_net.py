@@ -3,21 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from diarnn.decoder import advance_hypothesis, empty_hypothesis
 from diarnn.io import load_checkpoint, save_checkpoint
 from diarnn.model import ModelParams
 from diarnn.net import (
     EmissionParams,
     NetParams,
     TENSOR_FIELDS,
+    _sigmoid,
     advance_thread,
     backward_gradients,
     forward_log_likelihood,
-    fresh_thread,
     gaussian_log_pdf,
     gru_forward,
     init_net_params,
+    input_projection,
     output_forward,
-    thread_emission_mean,
+    stack_net,
 )
 from diarnn.prior import PriorParams
 from diarnn.sequences import EmbeddingSequence, LabelSequence
@@ -124,6 +126,17 @@ def test_gaussian_log_pdf_worked_values():
     assert gaussian_log_pdf(np.array([1.0]), np.array([0.0]), 1.0) == pytest.approx(
         -0.5 * math.log(2 * math.pi) - 0.5, abs=1e-12
     )
+
+
+def test_gaussian_log_pdf_stacked_means_match_one_by_one():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=5)
+    means = rng.normal(size=(3, 4, 5))
+    got = gaussian_log_pdf(x, means, 0.7)
+    assert got.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert got[i, j] == gaussian_log_pdf(x, means[i, j], 0.7)
 
 
 def test_gaussian_log_pdf_errors():
@@ -409,20 +422,48 @@ def test_backward_reports_forward_ll():
     assert res.log_likelihood == pytest.approx(ll, rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sigmoid_saturates_quietly():
+    low, high = _sigmoid(np.array([-800.0, 800.0]))
+    assert np.isfinite(low) and 0.0 <= low < 1e-300
+    assert high == 1.0
+    v = np.linspace(-700.0, 700.0, 20001)
+    np.testing.assert_array_equal(_sigmoid(v), 1.0 / (1.0 + np.exp(-v)))
+
+
+def test_advance_thread_rows_match_one_thread_at_a_time():
+    rng = np.random.default_rng(8)
+    net = init_net_params(3, 5, 4, rng)
+    cell = stack_net(net)
+    x = rng.normal(size=3)
+    states = rng.normal(size=(6, 5))
+    hidden, output = advance_thread(input_projection(x, cell), states, cell)
+    for row, h in enumerate(states):
+        one = gru_forward(x, h, net)
+        np.testing.assert_allclose(hidden[row], one, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(output[row], output_forward(one, net), rtol=1e-13, atol=1e-15)
+    # one thread alone takes the same bits as the single-thread cell
+    hidden, output = advance_thread(input_projection(x, cell), states[:1], cell)
+    np.testing.assert_array_equal(hidden[0], gru_forward(x, states[0], net))
+    np.testing.assert_array_equal(output[0], output_forward(hidden[0], net))
+
+
 # --------------------------------------------------------------------- threads
 
 def test_thread_lifecycle():
+    # a speaker's slot in the decoder state starts as the fresh thread and
+    # then takes the running mean of its head outputs
     rng = np.random.default_rng(6)
     net = init_net_params(2, 3, 3, rng)
-    thread = fresh_thread(net)
-    assert thread.count == 0
+    state = empty_hypothesis(ModelParams(net, UNIT, PriorParams(p0=0.5, alpha=1.0)))
+    assert state.count[0, 0] == 0
     h1 = gru_forward(np.zeros(2), np.zeros(3), net)
-    np.testing.assert_allclose(thread.hidden, h1, rtol=1e-15)
-    np.testing.assert_allclose(thread_emission_mean(thread), output_forward(h1, net), rtol=1e-15)
+    np.testing.assert_allclose(state.hidden[0, 0], h1, rtol=1e-15)
+    np.testing.assert_allclose(state.mean[0, 0], output_forward(h1, net), rtol=1e-15)
 
     x = rng.normal(size=2)
-    advanced = advance_thread(thread, x, net)
-    assert advanced.count == 1
+    advanced = advance_hypothesis(state, input_projection(x, state.cell), [0], [1], [0.0])
+    assert advanced.count[0, 0] == 1
     h2 = gru_forward(x, h1, net)
     m1, m2 = output_forward(h1, net), output_forward(h2, net)
-    np.testing.assert_allclose(thread_emission_mean(advanced), (m1 + m2) / 2, rtol=1e-14)
+    np.testing.assert_allclose(advanced.mean[0, 0], (m1 + m2) / 2, rtol=1e-14)
