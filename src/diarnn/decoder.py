@@ -282,9 +282,12 @@ def _prepare(X, params: ModelParams, max_speakers=None):
             f"embedding dim {x.shape[1]} != net input dim {params.net.input_dim}"
         )
     state = empty_hypothesis(params, max_speakers)
-    # One product per block of rows: a threaded BLAS splits a product of a
-    # whole long utterance across threads even at the toy shapes, where the
-    # threads' start-up and spin-waiting cost more CPU than the product.
+    # One product per block of rows.  OpenBLAS threads the product of a
+    # whole long utterance even at the toy shapes (from about a thousand
+    # rows at d = 8), and its idle worker then spin-waits through the
+    # decode: on a long-meetings-toy utterance that doubled the decode's
+    # CPU time at the same wall time (BENCH_7.json, "projection_blocks").
+    # At the paper shape the product threads at any row count.
     proj = np.concatenate([
         input_projection(x[lo : lo + _PROJECTION_ROWS], state.cell)
         for lo in range(0, x.shape[0], _PROJECTION_ROWS)
@@ -313,8 +316,12 @@ def decode_beam(
         scores = step_scores(state, x[t], params, config)
         total = state.log_prob[:, None] + scores.log_prob
         if config.beam_width == 1:
-            # one row: the continuation if it ties the first maximum,
-            # which is the lowest id among the best
+            # The pooled sort below would pick the same candidate: the
+            # first maximum in preference order is the continuation if it
+            # ties, else the lowest id among the best, which is what argmax
+            # finds.  Greedy decoding takes this form because the sort's
+            # dozen small array operations per step cost it about a third
+            # of its steps per second (BENCH_7.json, "greedy_selection").
             width, last = int(scores.width[0]), int(scores.last[0])
             counts.append(width)
             slot = int(total[0, :width].argmax())

@@ -13,12 +13,10 @@ structure of the labels is exactly what the process prices.
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .sequences import (
-    BlockCounts,
     BlockTable,
     ChangeIndicators,
     LabelSequence,
@@ -29,7 +27,6 @@ from .sequences import (
 
 __all__ = [
     "PriorParams",
-    "AssignmentOption",
     "change_log_prob",
     "assignment_candidates",
     "sequence_assignment_log_prob",
@@ -58,12 +55,6 @@ class PriorParams:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
-class AssignmentOption(NamedTuple):
-    speaker: int
-    change: int
-    log_prior: float
-
-
 def change_log_prob(z: int, p0: float) -> float:
     """Log-probability of one change indicator under the Bernoulli model."""
     if not 0.0 <= p0 <= 1.0:
@@ -87,29 +78,21 @@ def _log_tables(alpha: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     return log_count, log_mass
 
 
-def assignment_candidates(state, alpha: float, p0: float):
-    """Every admissible next speaker with its combined change + assignment
-    log-prior.
+def assignment_candidates(state: BlockTable, alpha: float, p0: float) -> np.ndarray:
+    """The combined change + assignment log-prior of every admissible next
+    speaker of every non-empty prefix of a block table.
 
-    Options come back in the decoder's preference order: continuation
-    first, then existing speakers by ascending id, then a new speaker.
-    The exponentials of the log-priors always sum to one; a single known
-    speaker needs no special casing because the switch mass then falls
-    entirely on the new-speaker option.
-
-    ``state`` may also be a BlockTable of non-empty prefixes, which gives
-    one (B, K) array of log-priors instead, indexed by speaker: row b's
-    options are its first num_speakers[b] + 1 columns, column k - 1 for
-    speaker k, so the table needs a column past its known speakers.
-    Later columns are filler.
+    Returns a (B, K) array indexed by speaker, column k - 1 for speaker k.
+    Row b's options are its first num_speakers[b] + 1 columns: the
+    continuation at its last speaker, a switch to each other known speaker,
+    and a new speaker, so the table needs a column past its known
+    speakers.  Later columns are filler.  The exponentials of a row's
+    options always sum to one; a single known speaker needs no special
+    casing because the switch mass then falls entirely on the new-speaker
+    option.
     """
     if not (0.0 <= p0 <= 1.0 and alpha > 0.0):
         PriorParams(p0=p0, alpha=alpha)  # raises with the reason
-    if isinstance(state, BlockCounts):
-        log_prior = assignment_candidates(BlockTable.of(state), alpha, p0)[0].tolist()
-        last = state.last_speaker
-        order = [last] + [k for k in range(1, state.num_speakers + 2) if k != last]
-        return [AssignmentOption(k, int(k != last), log_prior[k - 1]) for k in order]
     current = _label_index(state.last)
     size = max(64, 1 << int(state.total.max()).bit_length())
     log_count, log_mass = _log_tables(alpha, size)

@@ -195,14 +195,6 @@ class BlockTable(NamedTuple):
     num_speakers: np.ndarray  # (B,) int
     total: np.ndarray  # (B,) int
 
-    @classmethod
-    def of(cls, state: BlockCounts) -> "BlockTable":
-        """One prefix's counts as a one-row table, with one column to
-        spare for a new speaker."""
-        counts = np.array([state.counts + (0,)])
-        return cls(counts, np.array([state.last_speaker]),
-                   np.array([state.num_speakers]), np.array([state.total_blocks]))
-
     def take(self, rows) -> "BlockTable":
         return BlockTable(*(a[rows] for a in self))
 
@@ -220,19 +212,15 @@ def block_counts(labels_prefix: LabelSequence) -> BlockCounts:
     return BlockCounts(tuple(counts), last)
 
 
-def update_block_counts(state, next_label):
-    """Extend block counts by one label: a BlockCounts by one int, or each
-    row of a BlockTable by its entry of an int array.
+def update_block_counts(state: BlockTable, next_label: np.ndarray) -> BlockTable:
+    """Extend each row of a block table by its entry of an int array of
+    labels.
 
     Continuing the current speaker changes nothing; revisiting another known
     speaker opens a new run for it; the id one past the known speakers opens
-    a brand new speaker.  Anything else is rejected.  A table must have a
+    a brand new speaker.  Anything else is rejected.  The table must have a
     column for every label it is given.
     """
-    if isinstance(state, BlockCounts):
-        table = update_block_counts(BlockTable.of(state), np.array([int(next_label)]))
-        known = int(table.num_speakers[0])
-        return BlockCounts(tuple(table.counts[0, :known].tolist()), int(table.last[0]))
     labels = np.asarray(next_label)
     counts = None
     rows = zip(labels.tolist(), state.num_speakers.tolist(), state.last.tolist())

@@ -3,17 +3,21 @@
 The oracles here deliberately re-derive quantities through a different
 route than the library (sequential products instead of closed forms,
 per-speaker replay instead of interleaved threading, finite differences
-instead of reverse mode) so agreement is evidence, not tautology.
+instead of reverse mode) so agreement is evidence, not tautology.  The
+adapters state one prefix's block counts (``BlockCounts``) as the
+library's one-row table and read the result back, so tests can check the
+table functions on worked single-prefix cases.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from diarnn.model import ModelParams, init_model_params
 from diarnn.net import EmissionParams, NetParams, TENSOR_FIELDS
-from diarnn.prior import PriorParams
-from diarnn.sequences import LabelSequence
+from diarnn.prior import PriorParams, assignment_candidates
+from diarnn.sequences import BlockCounts, BlockTable, LabelSequence, update_block_counts
 
 
 def random_canonical_labels(rng, length, max_speakers=None):
@@ -29,6 +33,36 @@ def random_canonical_labels(rng, length, max_speakers=None):
         labels.append(int(rng.integers(1, cap + 1)))
         known = max(known, labels[-1])
     return LabelSequence(tuple(labels))
+
+
+class AssignmentOption(NamedTuple):
+    speaker: int
+    change: int
+    log_prior: float
+
+
+def one_row_table(state: BlockCounts) -> BlockTable:
+    """One prefix's block counts as a one-row table, with one column to
+    spare for a new speaker."""
+    return BlockTable(np.array([state.counts + (0,)]), np.array([state.last_speaker]),
+                      np.array([state.num_speakers]), np.array([state.total_blocks]))
+
+
+def candidate_options(state: BlockCounts, alpha, p0) -> list[AssignmentOption]:
+    """``assignment_candidates`` of one prefix as a list, in the decoder's
+    preference order: continuation first, then the other known speakers by
+    ascending id, then a new speaker."""
+    log_prior = assignment_candidates(one_row_table(state), alpha, p0)[0].tolist()
+    last = state.last_speaker
+    order = [last] + [k for k in range(1, state.num_speakers + 2) if k != last]
+    return [AssignmentOption(k, int(k != last), log_prior[k - 1]) for k in order]
+
+
+def extend_block_counts(state: BlockCounts, label) -> BlockCounts:
+    """``update_block_counts`` of one prefix by one label."""
+    table = update_block_counts(one_row_table(state), np.array([int(label)]))
+    known = int(table.num_speakers[0])
+    return BlockCounts(tuple(table.counts[0, :known].tolist()), int(table.last[0]))
 
 
 def zero_net_params(input_dim, hidden_dim=3, fc_dim=3):

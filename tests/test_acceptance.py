@@ -14,7 +14,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 from scipy.special import xlogy
 
-from helpers import finite_diff, random_canonical_labels, sequential_assignment_oracle
+from helpers import (
+    candidate_options,
+    finite_diff,
+    random_canonical_labels,
+    sequential_assignment_oracle,
+)
 
 from diarnn.cli import main
 from diarnn.decoder import DecodeConfig, decode_beam, decode_greedy, exhaustive_decode
@@ -35,7 +40,6 @@ from diarnn.net import (
 )
 from diarnn.prior import (
     PriorParams,
-    assignment_candidates,
     estimate_p0,
     grad_alpha,
     sequence_assignment_log_prob,
@@ -94,7 +98,7 @@ def test_criterion_03_candidate_prior_normalization():
         p0 = float(rng.uniform(0.01, 0.99))
         total = math.fsum(
             math.exp(opt.log_prior)
-            for opt in assignment_candidates(state, alpha, p0)
+            for opt in candidate_options(state, alpha, p0)
         )
         assert abs(total - 1.0) <= 1e-12
 

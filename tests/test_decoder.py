@@ -154,6 +154,30 @@ def test_beam_width_one_equals_greedy():
         assert a.log_prob == b.log_prob
 
 
+def test_greedy_matches_first_best_candidate_at_each_step():
+    # a different route to the greedy pick than decode_beam's width-1
+    # argmax: walk each step's candidate list in preference order and
+    # commit the first one whose running total is the best
+    cases = [_random_instance(seed, length=12) for seed in range(20)]
+    # exact ties on a zero net; at p0 = 1/3 the continuation of speaker 2
+    # ties a switch back to speaker 1 from the third step on
+    cases += [(EmbeddingSequence(np.zeros((8, 1))), zero_net_model(1, p0=p0, alpha=1.0))
+              for p0 in (0.5, 0.01, 1 / 3)]
+    for X, params in cases:
+        for cap in (None, 2):
+            config = DecodeConfig(max_speakers=cap)
+            state = empty_hypothesis(params, cap)
+            proj = input_projection(X.values, state.cell)
+            for t, x_t in enumerate(X.values):
+                running = state.log_prob[0]
+                candidates = step_scores(state, x_t, params, config).candidates()
+                best = max(candidates, key=lambda cand: running + cand.log_prob)
+                state = advance_hypothesis(state, proj[t], [0], [best.label], [best.log_prob])
+            res = decode_greedy(X, params, config)
+            assert tuple(res.labels) == state.labels()
+            assert res.log_prob == state.log_prob[0]
+
+
 def test_beam_matches_exhaustive_at_full_width():
     for seed in range(10):
         X, params = _random_instance(seed, length=6)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from diarnn.prior import (
     PriorParams,
-    assignment_candidates,
     change_log_prob,
     estimate_p0,
     grad_alpha,
@@ -19,7 +18,7 @@ from diarnn.sequences import (
     derive_change_indicators,
 )
 
-from helpers import random_canonical_labels, sequential_assignment_oracle
+from helpers import candidate_options, random_canonical_labels, sequential_assignment_oracle
 
 
 def test_prior_params_validation():
@@ -54,7 +53,7 @@ def test_change_log_prob_rejects_bad_p0():
 def test_assignment_candidates_four_options():
     # state after (1,1,2,3,2,2): counts {1:1,2:2,3:1}, last=2, switch mass 2
     state = block_counts(LabelSequence((1, 1, 2, 3, 2, 2)))
-    opts = assignment_candidates(state, alpha=1.0, p0=0.5)
+    opts = candidate_options(state, alpha=1.0, p0=0.5)
     assert [(o.speaker, o.change) for o in opts] == [(2, 0), (1, 1), (3, 1), (4, 1)]
     by_speaker = {o.speaker: o.log_prior for o in opts}
     assert by_speaker[2] == pytest.approx(math.log(0.5), abs=1e-12)
@@ -67,7 +66,7 @@ def test_assignment_candidates_single_speaker_degenerate():
     # with one known speaker the switch mass is empty: new speaker gets all
     # of the change probability
     state = block_counts(LabelSequence((1, 1, 1)))
-    opts = assignment_candidates(state, alpha=2.5, p0=0.3)
+    opts = candidate_options(state, alpha=2.5, p0=0.3)
     assert [(o.speaker, o.change) for o in opts] == [(1, 0), (2, 1)]
     assert opts[0].log_prior == pytest.approx(math.log(0.3), abs=1e-12)
     assert opts[1].log_prior == pytest.approx(math.log(0.7), abs=1e-12)
@@ -80,13 +79,13 @@ def test_assignment_candidates_normalize():
         state = block_counts(labs)
         alpha = float(rng.uniform(0.05, 5.0))
         p0 = float(rng.uniform(0.01, 0.99))
-        opts = assignment_candidates(state, alpha=alpha, p0=p0)
+        opts = candidate_options(state, alpha=alpha, p0=p0)
         assert abs(sum(math.exp(o.log_prior) for o in opts) - 1.0) < 1e-12
 
 
 def test_assignment_candidates_p0_edges():
     state = block_counts(LabelSequence((1, 2)))
-    opts = assignment_candidates(state, alpha=1.0, p0=1.0)
+    opts = candidate_options(state, alpha=1.0, p0=1.0)
     finite = [o for o in opts if o.log_prior > float("-inf")]
     assert [(o.speaker, o.change) for o in finite] == [(2, 0)]
     assert finite[0].log_prior == 0.0

@@ -10,10 +10,9 @@ from diarnn.sequences import (
     block_counts,
     canonicalize,
     derive_change_indicators,
-    update_block_counts,
 )
 
-from helpers import random_canonical_labels
+from helpers import extend_block_counts, random_canonical_labels
 
 
 # ---------------------------------------------------------------- embeddings
@@ -131,19 +130,19 @@ def test_block_counts_accessors():
 
 def test_update_block_counts_worked_examples():
     bc = BlockCounts((1, 2, 1), 2)
-    same = update_block_counts(bc, 2)
+    same = extend_block_counts(bc, 2)
     assert same.as_dict() == {1: 1, 2: 2, 3: 1} and same.last_speaker == 2
 
-    one = update_block_counts(BlockCounts((1,), 1), 2)
+    one = extend_block_counts(BlockCounts((1,), 1), 2)
     assert one.as_dict() == {1: 1, 2: 1} and one.last_speaker == 2
 
-    back = update_block_counts(BlockCounts((1, 1), 2), 1)
+    back = extend_block_counts(BlockCounts((1, 1), 2), 1)
     assert back.as_dict() == {1: 2, 2: 1} and back.last_speaker == 1
 
 
 def test_update_block_counts_rejects_label_gap():
     with pytest.raises(ValueError, match="non-canonical label 4"):
-        update_block_counts(BlockCounts((1, 1), 2), 4)
+        extend_block_counts(BlockCounts((1, 1), 2), 4)
 
 
 @given(st.data())
@@ -154,7 +153,7 @@ def test_incremental_matches_scan(data):
     seq = tuple(labs)
     state = block_counts(LabelSequence(seq[:1]))
     for t in range(1, length):
-        state = update_block_counts(state, seq[t])
+        state = extend_block_counts(state, seq[t])
         fresh = block_counts(LabelSequence(seq[: t + 1]))
         assert state.as_dict() == fresh.as_dict()
         assert state.last_speaker == fresh.last_speaker

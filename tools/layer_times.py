@@ -49,7 +49,10 @@ def best_ms(fn, repeats: int) -> dict[str, float]:
 
 def corpora(w, generator):
     """The training set and the held-out utterances, drawn as the
-    benchmark draws them."""
+    benchmark draws them.  This is a copy of the draw in
+    ``bench/run.py``'s ``setup`` (not imported, as ``machine`` explains):
+    change both together, or this tool times other utterances than the
+    benchmark runs."""
     rng = np.random.default_rng(1)
     draws = [sample_utterance(generator, w.length, rng)
              for _ in range(w.train_utts + max(w.held_utts, w.held_draws))]
